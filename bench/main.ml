@@ -7,20 +7,20 @@
    experiment re-derives the corresponding claim and prints a
    paper-vs-measured line.  EXPERIMENTS.md records the outputs.
 
-   Part 2 holds the ablations (A1–A2), the hash-consing comparison
-   (P8, which writes BENCH_closure.json) and a Bechamel timing suite
-   (P1–P7) characterising the cost of the semantic operations, the
-   bounded checker, the proof system and the simulator.
+   Part 2 holds the ablations (A1–A2), the P11–P16 performance legs
+   (each writes its BENCH_*.json) and a Bechamel timing suite (P1–P7)
+   characterising the cost of the semantic operations, the bounded
+   checker, the proof system and the simulator.  BENCH_closure.json
+   (P8) and BENCH_procir.json (P10) are frozen records of comparisons
+   no longer re-run.
 
    Run with: dune exec bench/main.exe            (everything)
              dune exec bench/main.exe -- quick   (part 1 only)
-             dune exec bench/main.exe -- p8      (P8 comparison only)
-             dune exec bench/main.exe -- p10     (P10 comparison only)
              dune exec bench/main.exe -- p11     (parallel scaling only)
              dune exec bench/main.exe -- p13     (compiled successor engine)
              dune exec bench/main.exe -- p14     (coverage-guided fuzzing)
              dune exec bench/main.exe -- p16     (counter abstraction)
-             dune exec bench/main.exe -- smoke   (E11 + P8–P16, tiny
+             dune exec bench/main.exe -- smoke   (E11 + P11–P16, tiny
                                                   sizes; @bench-smoke) *)
 
 open Csp
@@ -578,123 +578,9 @@ let a2_closure_ablation () =
   time "trie hide" (fun () -> Closure.hide in_wire trie);
   time "list hide" (fun () -> Naive.hide in_wire listed)
 
-(* ---------------------------------------------------------------------- *)
-(* P8: hash-consed kernel vs the retained naive reference                  *)
-(* ---------------------------------------------------------------------- *)
-
-(* The "old" side of the comparison re-runs the pipelines on
-   [Closure_ref] — the pre-hash-consing trie, kept in the library as an
-   executable specification.  Two workloads: the E11 chain's bounded
-   sat check (closure construction dominates) and the protocol's
-   denotational fixpoint run for the full [depth + hide_extra + 1]
-   rounds, as [denote] did before convergence detection. *)
-module Ref_pipeline = struct
-  (* [Step.traces] with the reference trie: same transition relation,
-     same (state, depth, budget) memo, only the closure representation
-     differs. *)
-  let traces cfg ~depth p =
-    let memo : (string * int * int, Closure_ref.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let rec go d hidden_budget p =
-      if d <= 0 then Closure_ref.empty
-      else
-        let key = (Process.to_string p, d, hidden_budget) in
-        match Hashtbl.find_opt memo key with
-        | Some c -> c
-        | None ->
-          let c =
-            List.fold_left
-              (fun acc (e, vis, p') ->
-                match vis with
-                | Step.Visible ->
-                  Closure_ref.union acc
-                    (Closure_ref.prefix e (go (d - 1) cfg.Step.hide_fuel p'))
-                | Step.Hidden ->
-                  if hidden_budget <= 0 then acc
-                  else Closure_ref.union acc (go d (hidden_budget - 1) p'))
-              Closure_ref.empty (Step.transitions cfg p)
-          in
-          Hashtbl.add memo key c;
-          c
-    in
-    go depth cfg.Step.hide_fuel p
-
-  (* [Sat.check] before streaming: materialise the member traces and
-     test the assertion on each. *)
-  let check ?nat_bound cfg ~depth p assertion =
-    let closure = traces cfg ~depth p in
-    let ctx0 = Term.ctx ?nat_bound () in
-    List.for_all
-      (fun s ->
-        Assertion.eval { ctx0 with Term.hist = History.of_trace s } assertion)
-      (Closure_ref.to_traces closure)
-
-  (* The denotational equations over the reference trie. *)
-  let rec eval defs sampler hide_extra env depth p =
-    let k = eval defs sampler hide_extra in
-    if depth <= 0 then Closure_ref.empty
-    else
-      match p with
-      | Process.Stop -> Closure_ref.empty
-      | Process.Output (c, e, cont) ->
-        Closure_ref.prefix
-          (Event.make
-             (Chan_expr.eval Valuation.empty c)
-             (Expr.eval Valuation.empty e))
-          (k env (depth - 1) cont)
-      | Process.Input (c, x, m, cont) ->
-        let chan = Chan_expr.eval Valuation.empty c in
-        Closure_ref.union_all
-          (List.map
-             (fun v ->
-               Closure_ref.prefix (Event.make chan v)
-                 (k env (depth - 1) (Process.subst_value x v cont)))
-             (Sampler.sample sampler m))
-      | Process.Choice (p1, p2) ->
-        Closure_ref.union (k env depth p1) (k env depth p2)
-      | Process.Par (xa, ya, p1, p2) ->
-        Closure_ref.truncate depth
-          (Closure_ref.par
-             ~in_x:(fun c -> Chan_set.mem xa c)
-             ~in_y:(fun c -> Chan_set.mem ya c)
-             (k env depth p1) (k env depth p2))
-      | Process.Hide (l, p1) ->
-        Closure_ref.truncate depth
-          (Closure_ref.hide
-             (fun c -> Chan_set.mem l c)
-             (k env (depth + hide_extra) p1))
-      | Process.Ref (n, arg) ->
-        Closure_ref.truncate depth
-          (env n (Option.map (Expr.eval Valuation.empty) arg))
-
-  (* Fixed-iteration fixpoint: always [env_depth + 1] rounds, with the
-     per-level memo the old [denote] had — no convergence detection. *)
-  let denote defs sampler ~hide_extra ~depth p =
-    let env_depth = depth + hide_extra in
-    let next prev =
-      let table = Hashtbl.create 16 in
-      fun name arg ->
-        let key = (name, Option.map Value.to_string arg) in
-        match Hashtbl.find_opt table key with
-        | Some c -> c
-        | None ->
-          let c =
-            eval defs sampler hide_extra prev env_depth
-              (Defs.unfold defs name arg)
-          in
-          Hashtbl.add table key c;
-          c
-    in
-    let rec chain env i = if i <= 0 then env else chain (next env) (i - 1) in
-    let env = chain (fun _ _ -> Closure_ref.empty) (env_depth + 1) in
-    eval defs sampler hide_extra env depth p
-end
-
-(* Wall-clock of the best of [repeats] runs, in ms.  The hash-consed
-   side clears its global caches before every run, so the numbers are
-   cold — sharing within one run is the feature being measured, reuse
-   across runs is not. *)
+(* Wall-clock of the best of [repeats] runs, in ms.  With [cold], the
+   closure kernel's global caches are cleared before every run, so
+   sharing within one run is measured but reuse across runs is not. *)
 let time_ms ?(repeats = 2) ?(cold = false) f =
   let best = ref infinity in
   for _ = 1 to repeats do
@@ -705,506 +591,6 @@ let time_ms ?(repeats = 2) ?(cold = false) f =
     if dt < !best then best := dt
   done;
   !best *. 1000.0
-
-type p8_row = {
-  p8_name : string;
-  p8_n : int;
-  p8_old_ms : float;
-  p8_new_ms : float;
-  p8_nodes : int;
-  p8_hit_rate : float;
-}
-
-let write_bench_json path rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"p8_hashcons\",\n  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"name\": \"%s\", \"n\": %d, \"old_ms\": %.3f, \"new_ms\": \
-         %.3f, \"speedup\": %.2f, \"nodes\": %d, \"memo_hit_rate\": %.3f }%s\n"
-        r.p8_name r.p8_n r.p8_old_ms r.p8_new_ms
-        (r.p8_old_ms /. r.p8_new_ms)
-        r.p8_nodes r.p8_hit_rate
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"snapshot\": %s\n}\n" (Obs.snapshot_json ());
-  close_out oc
-
-let p8_hashcons ?(smoke = false) () =
-  section "P8: hash-consed closure kernel vs naive reference trie";
-  result "  %-22s %4s %12s %12s %9s %9s %9s\n" "workload" "n" "old(ms)"
-    "new(ms)" "speedup" "nodes" "hit-rate";
-  let rows = ref [] in
-  (* The stats pass runs first — the weak unique table survives
-     [clear_caches] (live closures must stay interned), so only the
-     first run of a workload creates nodes; later timing runs re-find
-     them, which is the very effect being measured. *)
-  let row label run_new run_old n =
-    Closure.clear_caches ();
-    let s0 = Closure.stats () in
-    run_new ();
-    let s1 = Closure.stats () in
-    let nodes = s1.Closure.nodes - s0.Closure.nodes in
-    let hits = s1.Closure.memo_hits - s0.Closure.memo_hits
-    and misses = s1.Closure.memo_misses - s0.Closure.memo_misses in
-    let hit_rate =
-      if hits + misses = 0 then 0.0
-      else float_of_int hits /. float_of_int (hits + misses)
-    in
-    let old_ms = time_ms run_old in
-    let new_ms = time_ms ~cold:true run_new in
-    result "  %-22s %4d %12.1f %12.1f %8.1fx %9d %8.1f%%\n" label n old_ms
-      new_ms (old_ms /. new_ms) nodes (100.0 *. hit_rate);
-    rows :=
-      {
-        p8_name = label;
-        p8_n = n;
-        p8_old_ms = old_ms;
-        p8_new_ms = new_ms;
-        p8_nodes = nodes;
-        p8_hit_rate = hit_rate;
-      }
-      :: !rows
-  in
-  (* E11 chain: bounded sat check, construction-dominated *)
-  let chain_sizes = if smoke then [ 2; 3 ] else [ 2; 4; 6 ] in
-  let depth = 6 in
-  List.iter
-    (fun n ->
-      let defs, chain = Paper.Copier.chain_defs n in
-      let cfg = Step.config ~sampler:(Sampler.nat_bound 2) defs in
-      let spec = Paper.Copier.chain_spec n in
-      let new_side () = ignore (Sys.opaque_identity (Sat.check ~depth cfg chain spec)) in
-      let old_side () =
-        ignore (Sys.opaque_identity (Ref_pipeline.check cfg ~depth chain spec))
-      in
-      row "e11-chain-sat" new_side old_side n)
-    chain_sizes;
-  (* protocol fixpoint: full-round naive chain vs converging denote *)
-  let fix_depth = if smoke then 3 else 4 in
-  let sampler = Sampler.nat_bound 2 in
-  let new_side () =
-    ignore
-      (Sys.opaque_identity
-         (Denote.denote
-            (Denote.config ~sampler Paper.Protocol.defs)
-            ~depth:fix_depth Paper.Protocol.network))
-  in
-  let old_side () =
-    ignore
-      (Sys.opaque_identity
-         (Ref_pipeline.denote Paper.Protocol.defs sampler ~hide_extra:8
-            ~depth:fix_depth Paper.Protocol.network))
-  in
-  row "protocol-fixpoint" new_side old_side fix_depth;
-  write_bench_json "BENCH_closure.json" (List.rev !rows);
-  result "  wrote BENCH_closure.json\n"
-
-(* ---------------------------------------------------------------------- *)
-(* P10: interned process IR vs the pre-interning Process-keyed engine     *)
-(* ---------------------------------------------------------------------- *)
-
-(* The "old" side replicates the engine as it stood before the process
-   IR: plain [Process.t] states, no unfold/transition caches, state
-   tables keyed on polymorphic equality with [Process.hash], and
-   partition signatures deduplicated with polymorphic [compare].  The
-   transition relation computed is identical — only the representation
-   of states differs. *)
-module Plain_pipeline = struct
-  module Valuation = Csp_lang.Valuation
-
-  let eval_chan c = Chan_expr.eval Valuation.empty c
-  let eval_expr e = Expr.eval Valuation.empty e
-
-  let rec sync_on cfg fuel (e : Event.t) p : Process.t list =
-    match p with
-    | Process.Stop -> []
-    | Process.Output (c, ex, k) ->
-      if
-        Channel.equal (eval_chan c) e.Event.chan
-        && Value.equal (eval_expr ex) e.Event.value
-      then [ k ]
-      else []
-    | Process.Input (c, x, m, k) ->
-      if Channel.equal (eval_chan c) e.Event.chan && Vset.mem m e.Event.value
-      then [ Process.subst_value x e.Event.value k ]
-      else []
-    | Process.Choice (p1, p2) -> sync_on cfg fuel e p1 @ sync_on cfg fuel e p2
-    | Process.Par (xa, ya, p1, p2) ->
-      let in_x = Chan_set.mem xa e.Event.chan
-      and in_y = Chan_set.mem ya e.Event.chan in
-      if in_x && in_y then
-        List.concat_map
-          (fun p1' ->
-            List.map
-              (fun p2' -> Process.Par (xa, ya, p1', p2'))
-              (sync_on cfg fuel e p2))
-          (sync_on cfg fuel e p1)
-      else if in_x then
-        List.map
-          (fun p1' -> Process.Par (xa, ya, p1', p2))
-          (sync_on cfg fuel e p1)
-      else if in_y then
-        List.map
-          (fun p2' -> Process.Par (xa, ya, p1, p2'))
-          (sync_on cfg fuel e p2)
-      else []
-    | Process.Hide (l, p1) ->
-      if Chan_set.mem l e.Event.chan then []
-      else List.map (fun p1' -> Process.Hide (l, p1')) (sync_on cfg fuel e p1)
-    | Process.Ref (n, arg) ->
-      if fuel <= 0 then raise (Step.Unproductive n)
-      else
-        sync_on cfg (fuel - 1) e
-          (Defs.unfold_ref cfg.Step.defs Valuation.empty n arg)
-
-  let rec transitions_fuel cfg fuel p :
-      (Event.t * Step.visibility * Process.t) list =
-    match p with
-    | Process.Stop -> []
-    | Process.Output (c, e, k) ->
-      [ (Event.make (eval_chan c) (eval_expr e), Step.Visible, k) ]
-    | Process.Input (c, x, m, k) ->
-      let chan = eval_chan c in
-      List.map
-        (fun v -> (Event.make chan v, Step.Visible, Process.subst_value x v k))
-        (Sampler.sample cfg.Step.sampler m)
-    | Process.Choice (p1, p2) ->
-      transitions_fuel cfg fuel p1 @ transitions_fuel cfg fuel p2
-    | Process.Par (xa, ya, p1, p2) ->
-      let t1 = transitions_fuel cfg fuel p1
-      and t2 = transitions_fuel cfg fuel p2 in
-      let left =
-        List.concat_map
-          (fun ((e : Event.t), vis, p1') ->
-            match vis with
-            | Step.Hidden -> [ (e, Step.Hidden, Process.Par (xa, ya, p1', p2)) ]
-            | Step.Visible ->
-              if Chan_set.mem ya e.Event.chan then
-                List.map
-                  (fun p2' -> (e, Step.Visible, Process.Par (xa, ya, p1', p2')))
-                  (sync_on cfg fuel e p2)
-              else [ (e, Step.Visible, Process.Par (xa, ya, p1', p2)) ])
-          t1
-      in
-      let right =
-        List.concat_map
-          (fun ((e : Event.t), vis, p2') ->
-            match vis with
-            | Step.Hidden -> [ (e, Step.Hidden, Process.Par (xa, ya, p1, p2')) ]
-            | Step.Visible ->
-              if Chan_set.mem xa e.Event.chan then
-                List.map
-                  (fun p1' -> (e, Step.Visible, Process.Par (xa, ya, p1', p2')))
-                  (sync_on cfg fuel e p1)
-              else [ (e, Step.Visible, Process.Par (xa, ya, p1, p2')) ])
-          t2
-      in
-      let triple_equal (e1, v1, q1) (e2, v2, q2) =
-        Event.equal e1 e2 && v1 = v2 && Process.equal q1 q2
-      in
-      List.rev
-        (List.fold_left
-           (fun acc t ->
-             if List.exists (triple_equal t) acc then acc else t :: acc)
-           [] (left @ right))
-    | Process.Hide (l, p1) ->
-      List.map
-        (fun ((e : Event.t), vis, p1') ->
-          let vis = if Chan_set.mem l e.Event.chan then Step.Hidden else vis in
-          (e, vis, Process.Hide (l, p1')))
-        (transitions_fuel cfg fuel p1)
-    | Process.Ref (n, arg) ->
-      if fuel <= 0 then raise (Step.Unproductive n)
-      else
-        transitions_fuel cfg (fuel - 1)
-          (Defs.unfold_ref cfg.Step.defs Valuation.empty n arg)
-
-  let transitions cfg p = transitions_fuel cfg cfg.Step.unfold_fuel p
-
-  module Proc_tbl = Hashtbl.Make (struct
-    type t = Process.t
-
-    let equal = Stdlib.( = )
-    let hash = Process.hash
-  end)
-
-  (* the pre-IR [Step.traces]: per-call interning table, transitions
-     re-derived once per state via a local memo *)
-  let traces cfg ~depth p =
-    let ids = Proc_tbl.create 256 in
-    let next_id = ref 0 in
-    let intern q =
-      match Proc_tbl.find_opt ids q with
-      | Some id -> id
-      | None ->
-        let id = !next_id in
-        incr next_id;
-        Proc_tbl.add ids q id;
-        id
-    in
-    let trans_memo :
-        (int, (Event.t * Step.visibility * int * Process.t) list) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    let transitions_of id q =
-      match Hashtbl.find_opt trans_memo id with
-      | Some ts -> ts
-      | None ->
-        let ts =
-          List.map
-            (fun (e, vis, q') -> (e, vis, intern q', q'))
-            (transitions cfg q)
-        in
-        Hashtbl.add trans_memo id ts;
-        ts
-    in
-    let memo : (int * int * int, Closure.t) Hashtbl.t = Hashtbl.create 256 in
-    let rec go d hidden_budget id q =
-      if d <= 0 then Closure.empty
-      else
-        let key = (id, d, hidden_budget) in
-        match Hashtbl.find_opt memo key with
-        | Some c -> c
-        | None ->
-          let c =
-            List.fold_left
-              (fun acc (e, vis, id', q') ->
-                match vis with
-                | Step.Visible ->
-                  Closure.union acc
-                    (Closure.prefix e (go (d - 1) cfg.Step.hide_fuel id' q'))
-                | Step.Hidden ->
-                  if hidden_budget <= 0 then acc
-                  else Closure.union acc (go d (hidden_budget - 1) id' q'))
-              Closure.empty (transitions_of id q)
-          in
-          Hashtbl.add memo key c;
-          c
-    in
-    go depth cfg.Step.hide_fuel (intern p) p
-
-  (* the pre-IR [Lts.explore]: states canonicalised by structural
-     equality in a polymorphic-equality table *)
-  let explore ?(max_states = 2000) cfg p : Lts.t =
-    let ids : int Proc_tbl.t = Proc_tbl.create 64 in
-    let states = ref [] and n_states = ref 0 in
-    let intern q =
-      match Proc_tbl.find_opt ids q with
-      | Some i -> (i, false)
-      | None ->
-        let i = !n_states in
-        Proc_tbl.add ids q i;
-        states := q :: !states;
-        incr n_states;
-        (i, true)
-    in
-    let trans = ref [] in
-    let queue = Queue.create () in
-    let complete = ref true in
-    let initial, _ = intern p in
-    Queue.add (initial, p) queue;
-    while not (Queue.is_empty queue) do
-      let i, q = Queue.pop queue in
-      List.iter
-        (fun (e, vis, q') ->
-          if !n_states >= max_states then begin
-            match Proc_tbl.find_opt ids q' with
-            | Some j ->
-              trans :=
-                {
-                  Lts.source = i;
-                  event = e;
-                  visible = (vis = Step.Visible);
-                  target = j;
-                }
-                :: !trans
-            | None -> complete := false
-          end
-          else begin
-            let j, fresh = intern q' in
-            trans :=
-              {
-                Lts.source = i;
-                event = e;
-                visible = (vis = Step.Visible);
-                target = j;
-              }
-              :: !trans;
-            if fresh then Queue.add (j, q') queue
-          end)
-        (transitions cfg q)
-    done;
-    Lts.make ~initial
-      ~states:(Array.of_list (List.rev !states))
-      ~transitions:(List.rev !trans) ~complete:!complete ()
-
-  (* the pre-IR [Bisim.classes_of]: signatures deduplicated and keyed
-     with polymorphic compare/hash on (event, visibility, class) *)
-  let signatures (t : Lts.t) (classes : int array) =
-    let n = Array.length t.Lts.states in
-    let sigs = Array.make n [] in
-    List.iter
-      (fun (tr : Lts.transition) ->
-        sigs.(tr.Lts.source) <-
-          ((tr.Lts.event, tr.Lts.visible), classes.(tr.Lts.target))
-          :: sigs.(tr.Lts.source))
-      t.Lts.transitions;
-    Array.map (List.sort_uniq compare) sigs
-
-  let classes_of (t : Lts.t) =
-    let n = Array.length t.Lts.states in
-    let classes = Array.make n 0 in
-    let num = ref (if n = 0 then 0 else 1) in
-    let changed = ref true in
-    while !changed do
-      let sigs = signatures t classes in
-      let table = Hashtbl.create 16 in
-      let next = ref 0 in
-      let classes' =
-        Array.init n (fun i ->
-            let key = (classes.(i), sigs.(i)) in
-            match Hashtbl.find_opt table key with
-            | Some c -> c
-            | None ->
-              let c = !next in
-              incr next;
-              Hashtbl.add table key c;
-              c)
-      in
-      changed := !next <> !num;
-      num := !next;
-      Array.blit classes' 0 classes 0 n
-    done;
-    classes
-end
-
-type p10_row = {
-  p10_name : string;
-  p10_n : int;
-  p10_old_ms : float;
-  p10_new_ms : float;
-  p10_intern_nodes : int;
-  p10_table_len : int;
-  p10_hit_rate : float;
-}
-
-let write_p10_json path rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"p10_procir\",\n  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"name\": \"%s\", \"n\": %d, \"old_ms\": %.3f, \"new_ms\": \
-         %.3f, \"speedup\": %.2f, \"intern_nodes\": %d, \"intern_table\": \
-         %d, \"memo_hit_rate\": %.3f }%s\n"
-        r.p10_name r.p10_n r.p10_old_ms r.p10_new_ms
-        (r.p10_old_ms /. r.p10_new_ms)
-        r.p10_intern_nodes r.p10_table_len r.p10_hit_rate
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"snapshot\": %s\n}\n" (Obs.snapshot_json ());
-  close_out oc
-
-let p10_procir ?(smoke = false) () =
-  section "P10: interned process IR vs Process-keyed state tables";
-  result "  %-22s %4s %12s %12s %9s %9s %9s\n" "workload" "n" "old(ms)"
-    "new(ms)" "speedup" "interned" "hit-rate";
-  let rows = ref [] in
-  (* One instrumented pass first: count nodes interned and the step
-     cache hit-rate for the workload, then time both sides.  The new
-     side re-creates its [Step.config] per run, so per-config caches
-     never carry over between timed runs; the weak unique table is
-     global and survives, exactly like the closure kernel's in P8. *)
-  let row label run_new run_old n =
-    Step.reset_stats ();
-    (* The unique table is weak and global: nodes interned by earlier
-       experiments/rows survive as long as something references them,
-       so without a collection the instrumented pass re-finds old
-       nodes and reports an intern_nodes delta of ~0 for every row
-       after the first.  Two full majors (weak tables need a second
-       pass to flush emptied buckets) make the delta count this
-       workload's own interning. *)
-    Gc.full_major ();
-    Gc.full_major ();
-    let i0 = Proc.stats () in
-    run_new ();
-    let i1 = Proc.stats () in
-    let s = Step.stats () in
-    let hits = s.Step.unfold_hits + s.Step.trans_hits
-    and misses = s.Step.unfold_misses + s.Step.trans_misses in
-    let hit_rate =
-      if hits + misses = 0 then 0.0
-      else float_of_int hits /. float_of_int (hits + misses)
-    in
-    let old_ms = time_ms run_old in
-    let new_ms = time_ms run_new in
-    result "  %-22s %4d %12.1f %12.1f %8.1fx %9d %8.1f%%\n" label n old_ms
-      new_ms (old_ms /. new_ms)
-      (i1.Proc.nodes - i0.Proc.nodes)
-      (100.0 *. hit_rate);
-    rows :=
-      {
-        p10_name = label;
-        p10_n = n;
-        p10_old_ms = old_ms;
-        p10_new_ms = new_ms;
-        p10_intern_nodes = i1.Proc.nodes - i0.Proc.nodes;
-        p10_table_len = i1.Proc.table_len;
-        p10_hit_rate = hit_rate;
-      }
-      :: !rows
-  in
-  let sampler = Sampler.nat_bound 2 in
-  (* E11 chain: trace enumeration and LTS exploration + bisimulation
-     refinement on the hidden network's state space *)
-  let chain_sizes = if smoke then [ 2; 3 ] else [ 2; 4; 6; 8 ] in
-  List.iter
-    (fun n ->
-      let defs, chain = Paper.Copier.chain_defs n in
-      row "chain-traces"
-        (fun () ->
-          ignore
-            (Sys.opaque_identity
-               (Step.traces (Step.config ~sampler defs) ~depth:6 chain)))
-        (fun () ->
-          ignore
-            (Sys.opaque_identity
-               (Plain_pipeline.traces (Step.config ~sampler defs) ~depth:6
-                  chain)))
-        n;
-      let network =
-        match chain with Process.Hide (_, net) -> net | p -> p
-      in
-      row "chain-lts-bisim"
-        (fun () ->
-          let cfg = Step.config ~sampler defs in
-          let lts = Lts.explore ~max_states:100000 cfg network in
-          ignore (Sys.opaque_identity (Bisim.classes_of lts)))
-        (fun () ->
-          let cfg = Step.config ~sampler defs in
-          let lts = Plain_pipeline.explore ~max_states:100000 cfg network in
-          ignore (Sys.opaque_identity (Plain_pipeline.classes_of lts)))
-        n)
-    chain_sizes;
-  (* the protocol: a small cyclic state space with hidden moves *)
-  row "protocol-lts-bisim"
-    (fun () ->
-      let cfg = Step.config ~sampler Paper.Protocol.defs in
-      let lts = Lts.explore ~max_states:5000 cfg Paper.Protocol.protocol in
-      ignore (Sys.opaque_identity (Bisim.classes_of lts)))
-    (fun () ->
-      let cfg = Step.config ~sampler Paper.Protocol.defs in
-      let lts =
-        Plain_pipeline.explore ~max_states:5000 cfg Paper.Protocol.protocol
-      in
-      ignore (Sys.opaque_identity (Plain_pipeline.classes_of lts)))
-    0;
-  write_p10_json "BENCH_procir.json" (List.rev !rows);
-  result "  wrote BENCH_procir.json\n"
 
 (* ---------------------------------------------------------------------- *)
 (* P11: parallel LTS exploration — scaling over domain counts              *)
@@ -2220,42 +1606,19 @@ let run_timings () =
              result "  %-36s %s\n" name est))
     (make_tests ())
 
-(* ---------------------------------------------------------------------- *)
-(* P9: fuzz throughput — scenarios cross-checked per second                *)
-(* ---------------------------------------------------------------------- *)
-
-let p9_fuzz_throughput ?(cases = 400) () =
-  section "P9: differential fuzz throughput (all oracles, seeded)";
-  let module Fuzz = Csp_testkit.Fuzz in
-  let cfg = { Fuzz.default_config with Fuzz.seed = 1; max_cases = cases } in
-  let r = Fuzz.run cfg in
-  result "  %-22s %6d cases %8.2fs %10.1f cases/s  %d counterexample(s)\n"
-    "generate+4 oracles" r.Fuzz.cases r.Fuzz.elapsed
-    (float_of_int r.Fuzz.cases /. r.Fuzz.elapsed)
-    (List.length r.Fuzz.counterexamples)
-
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match mode with
   | "smoke" ->
-    (* tiny sizes for the @bench-smoke alias: exercises the E11 driver,
-       the P8 old-vs-new comparison and the JSON emitter in seconds *)
+    (* tiny sizes for the @bench-smoke alias: exercises the E11 driver
+       and every P11–P16 leg with its JSON emitter in seconds *)
     e11_compositionality ~sizes:[ 1; 2; 3 ] ();
-    p8_hashcons ~smoke:true ();
-    p10_procir ~smoke:true ();
     p11_parallel ~smoke:true ();
     p12_obs_overhead ~smoke:true ();
     p13_compiled ~smoke:true ();
     p14_fuzz_coverage ~smoke:true ();
     p15_serve ~smoke:true ();
     p16_abstraction ~smoke:true ();
-    p9_fuzz_throughput ~cases:100 ();
-    print_newline ()
-  | "p8" ->
-    p8_hashcons ();
-    print_newline ()
-  | "p10" ->
-    p10_procir ();
     print_newline ()
   | "p11" ->
     p11_parallel ();
@@ -2291,15 +1654,12 @@ let () =
     if not quick then begin
       a1_prover_ablation ();
       a2_closure_ablation ();
-      p8_hashcons ();
-      p10_procir ();
       p11_parallel ();
       p12_obs_overhead ();
       p13_compiled ();
       p14_fuzz_coverage ();
       p15_serve ();
       p16_abstraction ();
-      p9_fuzz_throughput ();
       run_timings ()
     end;
     print_newline ()

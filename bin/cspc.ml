@@ -1,53 +1,48 @@
 (* cspc — command-line front end.
 
-   Subcommands: parse, traces, simulate, check, prove, deadlock, fuzz.
-   A .csp file contains process definitions and `assert` declarations in
-   the concrete syntax of Csp_syntax.Parser. *)
+   Subcommands: parse, traces, simulate, check, prove, deadlock, graph,
+   refusals, infer, refine, check-cert, fuzz, serve, client.  A .csp
+   file contains process definitions and `assert` declarations in the
+   concrete syntax of Csp_syntax.Parser.
+
+   parse, graph, refine, prove and fuzz are cold clients of
+   Csp_server.Jobs: each builds a fresh job context, prints the job's
+   output and exits with its status — the same code that answers
+   `cspc serve` requests, so both surfaces print the same bytes. *)
 
 open Csp
 module Parser = Csp_syntax.Parser
 module Printer = Csp_syntax.Printer
+module Jobs = Csp_server.Jobs
 
 let die fmt = Format.kasprintf (fun m -> prerr_endline m; exit 1) fmt
+let ok_or_die = function Ok x -> x | Error m -> die "%s" m
 
-let load path =
+let slurp path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error m -> die "%s" m
+
+(* Read and parse a .csp file into a cold job context. *)
+let load ?domains path =
   Obs.span ~cat:"cli" "load"
     ~args:(fun () -> [ ("path", Obs.String path) ])
   @@ fun () ->
-  let ic = try open_in path with Sys_error m -> die "%s" m in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  match Parser.parse_file s with
-  | Ok file -> file
+  match Jobs.ctx_of_source ?domains (slurp path) with
+  | Ok ctx -> ctx
   | Error m -> die "%s: %s" path m
 
-let find_process file name =
-  match Defs.lookup file.Parser.defs name with
-  | Some _ -> Process.ref_ name
-  | None -> die "process %s is not defined" name
-
-let tables_of file =
-  let invariants =
-    List.filter_map
-      (function Parser.Assert_plain (n, a) -> Some (n, a) | _ -> None)
-      file.Parser.decls
-  in
-  let array_invariants =
-    List.filter_map
-      (function
-        | Parser.Assert_array (q, x, m, a) -> Some (q, (x, m, a))
-        | _ -> None)
-      file.Parser.decls
-  in
-  Tactic.tables ~invariants ~array_invariants ()
+let find_process ctx name = ok_or_die (Jobs.find_process ctx name)
 
 (* Every semantic subcommand runs off one unified engine: the sampler,
-   fuel budgets, depth, seed and domain count all come from this single
-   value, and the operational/denotational caches are shared within a
-   command. *)
-let engine ?depth ?seed ?(domains = 1) file ~nat_bound =
-  Engine.create ?depth ?seed ~domains ~nat_bound file.Parser.defs
+   fuel budgets, depth and seed all come from this single value, and
+   the operational/denotational caches are shared within a command. *)
+let engine ?depth ?seed ctx ~nat_bound =
+  Engine.create ?depth ?seed ~nat_bound ctx.Jobs.file.Parser.defs
+
+(* A job's stdout, then its exit status. *)
+let finish (o : Jobs.outcome) =
+  print_string o.Jobs.output;
+  if o.Jobs.exit_code <> 0 then exit o.Jobs.exit_code
 
 (* ---- telemetry ------------------------------------------------------- *)
 
@@ -89,26 +84,15 @@ let with_telemetry name t f =
 (* ---- parse ---------------------------------------------------------- *)
 
 let cmd_parse path telemetry =
-  with_telemetry "parse" telemetry @@ fun () ->
-  let file = load path in
-  print_endline (Printer.defs file.Parser.defs);
-  List.iter
-    (function
-      | Parser.Assert_plain (n, a) ->
-        Printf.printf "assert %s sat %s\n" n (Printer.assertion a)
-      | Parser.Assert_array (q, x, m, a) ->
-        Printf.printf "assert forall %s:%s. %s[%s] sat %s\n" x (Printer.vset m)
-          q x
-          (Printer.assertion ~bound:[ x ] a))
-    file.Parser.decls
+  with_telemetry "parse" telemetry @@ fun () -> finish (Jobs.parse (load path))
 
 (* ---- traces --------------------------------------------------------- *)
 
 let cmd_traces path name depth nat_bound denotational telemetry =
   with_telemetry "traces" telemetry @@ fun () ->
-  let file = load path in
-  let p = find_process file name in
-  let eng = engine ~depth file ~nat_bound in
+  let ctx = load path in
+  let p = find_process ctx name in
+  let eng = engine ~depth ctx ~nat_bound in
   let closure =
     if denotational then Denote.denote (Engine.denote_config eng) ~depth p
     else Step.traces (Engine.step_config eng) ~depth p
@@ -122,17 +106,17 @@ let cmd_traces path name depth nat_bound denotational telemetry =
 
 let cmd_simulate path name steps seed nat_bound telemetry =
   with_telemetry "simulate" telemetry @@ fun () ->
-  let file = load path in
-  let p = find_process file name in
+  let ctx = load path in
+  let p = find_process ctx name in
   let monitors =
     List.filter_map
       (function
         | Parser.Assert_plain (n, a) when String.equal n name ->
           Some (Csp_sim.Runner.monitor n a)
         | _ -> None)
-      file.Parser.decls
+      ctx.Jobs.file.Parser.decls
   in
-  let eng = engine ~seed file ~nat_bound in
+  let eng = engine ~seed ctx ~nat_bound in
   let r = Csp_sim.Runner.run_engine ~monitors ~max_steps:steps eng p in
   Format.printf "%a@." Csp_sim.Runner.pp_result r;
   List.iter
@@ -145,24 +129,16 @@ let cmd_simulate path name steps seed nat_bound telemetry =
 
 (* ---- check (bounded sat) -------------------------------------------- *)
 
-let target_process file = function
-  | Parser.Assert_plain (n, _) -> find_process file n
-  | Parser.Assert_array (q, x, m, _) ->
-    ignore (find_process file q);
-    (* check every sampled instance *)
-    let _ = (x, m) in
-    Process.ref_ q
-
 let cmd_check path depth nat_bound telemetry =
   with_telemetry "check" telemetry @@ fun () ->
-  let file = load path in
-  let eng = engine ~depth file ~nat_bound in
+  let ctx = load path in
+  let eng = engine ~depth ctx ~nat_bound in
   let failures = ref 0 in
   List.iter
     (fun decl ->
       match decl with
       | Parser.Assert_plain (n, a) ->
-        let p = find_process file n in
+        let p = find_process ctx n in
         let out = Sat.check_engine eng p a in
         Format.printf "%s sat %s: %a@." n (Printer.assertion a) Sat.pp_outcome
           out;
@@ -179,99 +155,50 @@ let cmd_check path depth nat_bound telemetry =
               (Printer.assertion a') Sat.pp_outcome out;
             match out with Sat.Fails _ -> incr failures | Sat.Holds _ -> ())
           (Sampler.sample eng.Engine.sampler m))
-    file.Parser.decls;
-  ignore target_process;
+    ctx.Jobs.file.Parser.decls;
   if !failures > 0 then die "%d assertion(s) failed" !failures
 
 (* ---- prove ---------------------------------------------------------- *)
 
 (* [--family FORMULA] switches prove from the file's assertions to a
-   preset replica family: one counter-abstract exploration per
-   assignment class of the formula certifies the family's erased
-   invariants for every satisfying instance at once. *)
-let cmd_prove_family ~model ~formula ~depth =
-  let fam =
-    match Abstraction.Family.find model with
-    | Some f -> f
-    | None ->
-      die "unknown family %s (have: %s)" model
-        (String.concat ", "
-           (List.map
-              (fun (f : Abstraction.Family.t) -> f.fam.Abstraction.Counter.name)
-              Abstraction.Family.presets))
-  in
-  let f =
-    match Abstraction.Formula.of_string formula with
-    | Ok f -> f
-    | Error m -> die "bad formula %S: %s" formula m
-  in
-  match Abstraction.Family.check_family ~depth fam ~formula:f with
-  | Error m -> die "%s: %s" model m
-  | Ok o ->
-    Format.printf "%a@." Abstraction.Family.pp_outcome o;
-    if not o.Abstraction.Family.certified then exit 1
-
+   preset replica family; [--emit] writes the certificates of the
+   sequents the job proved. *)
 let cmd_prove path verbose emit family model depth telemetry =
   with_telemetry "prove" telemetry @@ fun () ->
-  match family with
-  | Some formula -> cmd_prove_family ~model ~formula ~depth
-  | None ->
-  let path =
-    match path with
-    | Some p -> p
-    | None -> die "FILE is required unless --family is given"
-  in
-  let file = load path in
-  let tables = tables_of file in
-  let ctx = Sequent.context file.Parser.defs in
-  let failures = ref 0 in
-  let proved = ref [] in
-  List.iter
-    (fun decl ->
-      let name, judgment =
-        match decl with
-        | Parser.Assert_plain (n, a) -> (n, Sequent.Holds (Process.ref_ n, a))
-        | Parser.Assert_array (q, x, m, a) ->
-          (q ^ "[]", Sequent.Holds_all (q, x, m, a))
-      in
-      match Tactic.prove_and_check ~tables ctx judgment with
-      | Ok (proof, report) ->
-        proved := (judgment, proof) :: !proved;
-        Printf.printf "PROVED %s: %d rules, %d obligations (%d by testing)\n"
-          name (Proof.size proof)
-          (List.length report.Check.obligations)
-          (Check.tested_obligations report);
-        if verbose then Format.printf "%a@." Check.pp_report report
-      | Error m ->
-        incr failures;
-        Printf.printf "FAILED %s: %s\n" name m)
-    file.Parser.decls;
-  (match emit with
-  | None -> ()
-  | Some out ->
-    let oc = open_out out in
-    output_string oc (Cert.write_many (List.rev !proved));
-    output_string oc "\n";
-    close_out oc;
-    Printf.printf "wrote %d certificate(s) to %s\n" (List.length !proved) out);
-  if !failures > 0 then exit 1
+  match family, path with
+  | Some formula, _ ->
+    finish (ok_or_die (Jobs.prove_family ~model ~formula ~depth))
+  | None, None -> die "FILE is required unless --family is given"
+  | None, Some path ->
+    let ctx = load path in
+    let o = Jobs.prove ctx ~verbose in
+    finish
+      (match emit with
+      | None -> o
+      | Some out ->
+        let proofs = List.rev_map snd ctx.Jobs.proofs in
+        write_file out (Cert.write_many proofs ^ "\n");
+        {
+          o with
+          output =
+            o.Jobs.output
+            ^ Printf.sprintf "wrote %d certificate(s) to %s\n"
+                (List.length proofs) out;
+        })
 
 (* ---- check-cert --------------------------------------------------------- *)
 
 let cmd_check_cert path cert_path telemetry =
   with_telemetry "check-cert" telemetry @@ fun () ->
-  let file = load path in
-  let ic = open_in cert_path in
-  let raw = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Cert.read_many raw with
+  let ctx = load path in
+  match Cert.read_many (slurp cert_path) with
   | Error m -> die "%s: %s" cert_path m
   | Ok certs ->
-    let ctx = Sequent.context file.Parser.defs in
+    let sctx = Sequent.context ctx.Jobs.file.Parser.defs in
     let failures = ref 0 in
     List.iter
       (fun (j, proof) ->
-        match Check.check ctx j proof with
+        match Check.check sctx j proof with
         | Ok report ->
           Printf.printf "CHECKED %s (%d rules, %d tested obligations)\n"
             (Sequent.judgment_to_string j)
@@ -283,25 +210,16 @@ let cmd_check_cert path cert_path telemetry =
       certs;
     if !failures > 0 then exit 1
 
-(* With [--stats], the compiled subcommands report the one-shot
-   compile separately from the exploration/run it amortises over. *)
-let report_phase_ms telemetry cmd ~compile_ms ~run_label ~run_ms =
-  if telemetry.stats then
-    Format.eprintf "%s: compile %.2f ms, %s %.2f ms@." cmd compile_ms run_label
-      run_ms
-
 (* ---- deadlock ------------------------------------------------------- *)
 
 let cmd_deadlock path name steps runs nat_bound seed use_compiled telemetry =
   with_telemetry "deadlock" telemetry @@ fun () ->
-  let file = load path in
-  let p = find_process file name in
-  let eng = engine ~seed file ~nat_bound in
-  let t0 = Obs.now_ns () in
+  let ctx = load path in
+  let p = find_process ctx name in
+  let eng = engine ~seed ctx ~nat_bound in
   let compiled =
     if use_compiled then Some (Engine.compile ~budget:steps eng p) else None
   in
-  let t1 = Obs.now_ns () in
   let deadlocks = ref 0 in
   for i = 0 to runs - 1 do
     let r =
@@ -310,107 +228,59 @@ let cmd_deadlock path name steps runs nat_bound seed use_compiled telemetry =
     in
     if r.Csp_sim.Runner.stop = Csp_sim.Runner.Deadlock then incr deadlocks
   done;
-  report_phase_ms telemetry "deadlock"
-    ~compile_ms:((t1 -. t0) /. 1e6)
-    ~run_label:(Printf.sprintf "%d runs" runs)
-    ~run_ms:((Obs.now_ns () -. t1) /. 1e6);
   Printf.printf "%d/%d runs deadlocked within %d steps\n" !deadlocks runs steps;
   if !deadlocks > 0 then exit 1
 
 (* ---- graph ----------------------------------------------------------- *)
 
 (* [--abstract counter] graphs the counter-abstract quotient of a
-   preset family at instance size [--n] instead of a concrete file. *)
-let cmd_graph_abstract ~model ~n ~max_states output =
-  let fam =
-    match Abstraction.Family.find model with
-    | Some f -> f
-    | None -> die "unknown family %s" model
-  in
-  let r = Abstraction.Counter.explore ~max_states fam.fam ~n in
-  Printf.printf
-    "%d abstract states, %d transitions%s; %d omega collapse(s); %d local \
-     state(s) in legend\n"
-    r.Abstraction.Counter.quotient_states
-    (Lts.num_transitions r.Abstraction.Counter.lts)
-    (if r.Abstraction.Counter.lts.Lts.complete then "" else " (truncated)")
-    r.Abstraction.Counter.omega_collapses
-    (List.length r.Abstraction.Counter.legend);
-  List.iter
-    (fun (i, p) ->
-      Printf.printf "  s%d = %s\n" i (Printer.process p))
-    r.Abstraction.Counter.legend;
-  let dot = Lts.to_dot ~name:(model ^ "_abs") r.Abstraction.Counter.lts in
-  match output with
-  | None -> print_string dot
-  | Some f ->
-    let oc = open_out f in
-    output_string oc dot;
-    close_out oc;
-    Printf.printf "wrote %s\n" f
-
-let cmd_graph path name max_states nat_bound output jobs use_compiled relaxed
-    abstract model fam_n telemetry =
+   preset family at instance size [--size] instead of a concrete file.
+   With [-o], the DOT text (from its "digraph" line on) goes to the
+   file and the status lines stay on stdout. *)
+let cmd_graph path name max_states nat_bound output jobs use_compiled abstract
+    model fam_n telemetry =
   with_telemetry "graph" telemetry @@ fun () ->
-  match abstract with
-  | Some "counter" -> cmd_graph_abstract ~model ~n:fam_n ~max_states output
-  | Some m -> die "unknown abstraction %s (have: counter)" m
-  | None ->
-  let path =
-    match path with
-    | Some p -> p
-    | None -> die "FILE is required unless --abstract is given"
+  let o =
+    match abstract with
+    | Some "counter" -> Jobs.graph_abstract ~model ~n:fam_n ~max_states
+    | Some m -> die "unknown abstraction %s (have: counter)" m
+    | None ->
+      let path =
+        match path with
+        | Some p -> p
+        | None -> die "FILE is required unless --abstract is given"
+      in
+      let process =
+        match name with
+        | Some n -> n
+        | None -> die "--process is required unless --abstract is given"
+      in
+      Jobs.graph (load ~domains:jobs path) ~process ~max_states ~nat_bound
+        ~compiled:use_compiled
   in
-  let name =
-    match name with
-    | Some n -> n
-    | None -> die "--process is required unless --abstract is given"
-  in
-  let file = load path in
-  let p = find_process file name in
-  let eng = engine ~domains:jobs file ~nat_bound in
-  let t0 = Obs.now_ns () in
-  let compiled =
-    (* compile exactly as many rows as the exploration may visit;
-       relaxed mode bypasses the automaton, so skip the compile *)
-    if use_compiled && not relaxed then
-      Some (Engine.compile ~budget:max_states eng p)
-    else None
-  in
-  let t1 = Obs.now_ns () in
-  let lts =
-    Lts.explore ~max_states ?pool:(Engine.pool eng) ?compiled ~relaxed
-      (Engine.step_config eng) p
-  in
-  report_phase_ms telemetry "graph"
-    ~compile_ms:((t1 -. t0) /. 1e6)
-    ~run_label:"explore"
-    ~run_ms:((Obs.now_ns () -. t1) /. 1e6);
-  Printf.printf
-    "%d states, %d transitions%s; deterministic=%b; deadlock states: %d\n"
-    (Lts.num_states lts) (Lts.num_transitions lts)
-    (if lts.Lts.complete then ""
-     else
-       Printf.sprintf " (truncated; %d states with dropped moves)"
-         (List.length (Lts.truncated_states lts)))
-    (Lts.is_deterministic lts)
-    (List.length (Lts.deadlock_states lts));
-  let dot = Lts.to_dot ~name lts in
+  let o = ok_or_die o in
   match output with
-  | None -> print_string dot
+  | None -> finish o
   | Some f ->
-    let oc = open_out f in
-    output_string oc dot;
-    close_out oc;
-    Printf.printf "wrote %s\n" f
+    let s = o.Jobs.output in
+    let rec dot_start i =
+      if i + 7 <= String.length s && String.sub s i 7 = "digraph" then i
+      else
+        match String.index_from_opt s i '\n' with
+        | Some j -> dot_start (j + 1)
+        | None -> String.length s
+    in
+    let i = dot_start 0 in
+    write_file f (String.sub s i (String.length s - i));
+    finish { o with output = String.sub s 0 i ^ Printf.sprintf "wrote %s\n" f }
 
 (* ---- refusals ---------------------------------------------------------- *)
 
 let cmd_refusals path name depth nat_bound telemetry =
   with_telemetry "refusals" telemetry @@ fun () ->
-  let file = load path in
-  let p = find_process file name in
-  let cfg = Engine.step_config (engine ~depth file ~nat_bound) in
+  let ctx = load path in
+  let p = find_process ctx name in
+  let cfg = Engine.step_config (engine ~depth ctx ~nat_bound) in
   let fs = Failures.failures cfg ~depth p in
   Format.printf "%a@." Failures.pp fs;
   (match Failures.can_deadlock cfg ~depth p with
@@ -425,50 +295,19 @@ let cmd_refusals path name depth nat_bound telemetry =
 
 let cmd_refine path impl spec depth nat_bound weak jobs use_compiled telemetry =
   with_telemetry "refine" telemetry @@ fun () ->
-  let file = load path in
-  let p = find_process file impl and q = find_process file spec in
-  let eng = engine ~depth ~domains:jobs file ~nat_bound in
-  let cfg = Engine.step_config eng in
-  if weak then begin
-    (* pre-compile both sides so the compile/check split is visible;
-       the compiler handed to Bisim hits the engine's cache *)
-    let t0 = Obs.now_ns () in
-    let compiler =
-      if use_compiled then begin
-        let compile r = Engine.compile ~budget:2000 eng r in
-        ignore (compile p);
-        ignore (compile q);
-        Some compile
-      end
-      else None
-    in
-    let t1 = Obs.now_ns () in
-    let bisimilar = Bisim.weak_equivalent ?pool:(Engine.pool eng) ?compiler cfg p q in
-    report_phase_ms telemetry "refine"
-      ~compile_ms:((t1 -. t0) /. 1e6)
-      ~run_label:"check"
-      ~run_ms:((Obs.now_ns () -. t1) /. 1e6);
-    Printf.printf "%s and %s weakly bisimilar (bounded): %b\n" impl spec
-      bisimilar
-  end
-  else begin
-    match Equiv.trace_refines ~depth cfg ~impl:p ~spec:q with
-    | Ok () ->
-      Printf.printf "%s trace-refines %s up to depth %d\n" impl spec depth
-    | Error s ->
-      Printf.printf "NOT a refinement: %s allows %s, %s does not\n" impl
-        (Trace.to_string s) spec;
-      exit 1
-  end
+  finish
+    (ok_or_die
+       (Jobs.refine (load ~domains:jobs path) ~impl ~spec ~depth ~nat_bound
+          ~weak ~compiled:use_compiled))
 
 (* ---- infer ------------------------------------------------------------ *)
 
 let cmd_infer path name nat_bound seed telemetry =
   with_telemetry "infer" telemetry @@ fun () ->
-  let file = load path in
-  let p = find_process file name in
-  let eng = engine ~seed file ~nat_bound in
-  let tables = tables_of file in
+  let ctx = load path in
+  let p = find_process ctx name in
+  let eng = engine ~seed ctx ~nat_bound in
+  let tables = Jobs.tables_of ctx.Jobs.file in
   let results = Infer.infer_engine ~tables eng ~name p in
   if results = [] then print_endline "no invariants conjectured"
   else
@@ -481,82 +320,13 @@ let cmd_infer path name nat_bound seed telemetry =
 
 (* ---- fuzz ------------------------------------------------------------- *)
 
-module Oracle = Csp_testkit.Oracle
-module Fuzz = Csp_testkit.Fuzz
-module Corpus = Csp_testkit.Corpus
-
-let resolve_oracles = function
-  | [] -> Oracle.all
-  | names ->
-    List.map
-      (fun n ->
-        match Oracle.find n with
-        | Some o -> o
-        | None ->
-          die "unknown oracle %s (available: %s)" n
-            (String.concat ", " (Oracle.names ())))
-      names
-
-let cmd_fuzz seed cases budget oracle_names save replay jobs coverage telemetry
-    =
+let cmd_fuzz seed count budget oracle_names save replay jobs coverage
+    telemetry =
   with_telemetry "fuzz" telemetry @@ fun () ->
-  let oracles = resolve_oracles oracle_names in
-  let replay_failures =
-    match replay with
-    | None -> 0
-    | Some dir ->
-      let entries = Corpus.read_dir dir in
-      let failed = ref 0 in
-      List.iter
-        (fun (e : Corpus.entry) ->
-          match Oracle.find e.Corpus.oracle with
-          | None ->
-            incr failed;
-            Printf.printf "DISABLED %s: oracle %s is not registered\n"
-              e.Corpus.path e.Corpus.oracle
-          | Some o -> (
-            match o.Oracle.check e.Corpus.scenario with
-            | Oracle.Pass -> Printf.printf "ok %s [%s]\n" e.Corpus.path o.Oracle.name
-            | Oracle.Fail m ->
-              incr failed;
-              Printf.printf "FAIL %s [%s]: %s\n" e.Corpus.path o.Oracle.name m))
-        entries;
-      Printf.printf "corpus: %d entr%s replayed, %d failure(s)\n"
-        (List.length entries)
-        (if List.length entries = 1 then "y" else "ies")
-        !failed;
-      !failed
-  in
-  let config =
-    {
-      Fuzz.default_config with
-      Fuzz.seed;
-      max_cases = cases;
-      budget;
-      oracles;
-      jobs;
-    }
-  in
-  let report =
-    if coverage then begin
-      let report, cov = Fuzz.run_coverage config in
-      Format.printf "%a@." Fuzz.pp_coverage (report, cov);
-      report
-    end
-    else Fuzz.run config
-  in
-  Format.printf "%a@." Fuzz.pp_report report;
-  (match save with
-  | Some dir ->
-    List.iter
-      (fun (c : Fuzz.counterexample) ->
-        let path =
-          Corpus.write ~dir ~oracle:c.Fuzz.oracle ~seed c.Fuzz.scenario
-        in
-        Printf.printf "saved %s\n" path)
-      report.Fuzz.counterexamples
-  | None -> ());
-  if replay_failures > 0 || report.Fuzz.counterexamples <> [] then exit 1
+  finish
+    (ok_or_die
+       (Jobs.fuzz ~jobs ~coverage ?replay ?save ~seed ~count ~budget
+          ~oracle_names ()))
 
 (* ---- serve / client -------------------------------------------------- *)
 
@@ -578,13 +348,6 @@ let cmd_serve socket jobs warm max_frame max_states max_depth max_cases
       (match warm with Some f -> ", warm from " ^ f | None -> "")
   in
   match Server.run ~ready cfg with Ok () -> () | Error m -> die "%s" m
-
-let slurp path =
-  let ic = try open_in path with Sys_error m -> die "%s" m in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let corpus_sources dir =
   match Sys.readdir dir with
@@ -830,16 +593,6 @@ let graph_cmd =
   let max_states =
     Arg.(value & opt int 2000 & info [ "max-states" ] ~doc:"State bound")
   in
-  let relaxed =
-    Arg.(
-      value & flag
-      & info [ "relaxed" ]
-          ~doc:
-            "Relaxed parallel exploration: workers explore autonomously and \
-             state numbering varies run to run (same state/transition sets, \
-             checked against deterministic mode by the test oracle).  Only \
-             meaningful with --jobs > 1.")
-  in
   let abstract =
     Arg.(
       value
@@ -867,7 +620,7 @@ let graph_cmd =
              with --abstract counter, graph a family's abstract quotient")
     Term.(
       const cmd_graph $ opt_path_arg $ opt_name $ max_states $ nat_arg $ out
-      $ jobs_arg $ compiled_arg $ relaxed $ abstract $ model_arg $ fam_n
+      $ jobs_arg $ compiled_arg $ abstract $ model_arg $ fam_n
       $ telemetry_arg)
 
 let refusals_cmd =

@@ -7,6 +7,7 @@ module Vset = Csp_lang.Vset
 module Chan_expr = Csp_lang.Chan_expr
 module Process = Csp_lang.Process
 module Defs = Csp_lang.Defs
+module Lts = Csp_semantics.Lts
 module Term = Csp_assertion.Term
 module Assertion = Csp_assertion.Assertion
 module Obs = Csp_obs.Obs
@@ -228,6 +229,7 @@ type class_outcome = {
   instances : int list;
   unbounded_tail : bool;
   abstract_states : int;
+  truncated : bool;
   checked : (int, Trace.t * string) result;
 }
 
@@ -270,7 +272,7 @@ let check_class (t : t) ~depth ~max_states rep =
     | None -> Ok (List.length traces)
     | Some (tr, name) -> Error (tr, name)
   in
-  (r.Counter.quotient_states, checked)
+  (r.Counter.quotient_states, not r.Counter.lts.Lts.complete, checked)
 
 let check_family ?(depth = 6) ?(max_states = 4000) (t : t) ~formula =
   Obs.Counter.incr c_family_checks;
@@ -328,16 +330,27 @@ let check_family ?(depth = 6) ?(max_states = 4000) (t : t) ~formula =
                 let instances = List.rev !(Hashtbl.find groups sg) in
                 let rep = List.fold_left min (List.hd instances) instances in
                 let tail = unbounded && String.equal sg tail_sig in
-                let abstract_states, checked =
+                let abstract_states, truncated, checked =
                   check_class t ~depth ~max_states rep
                 in
-                { rep; instances; unbounded_tail = tail; abstract_states; checked })
+                {
+                  rep;
+                  instances;
+                  unbounded_tail = tail;
+                  abstract_states;
+                  truncated;
+                  checked;
+                })
               !order
           in
           Obs.Counter.add c_classes (List.length classes);
+          (* a truncated exploration leaves traces past the bound
+             unchecked, so it cannot certify its class *)
           let certified =
             List.for_all
-              (fun c -> match c.checked with Ok _ -> true | Error _ -> false)
+              (fun c ->
+                (not c.truncated)
+                && match c.checked with Ok _ -> true | Error _ -> false)
               classes
           in
           Ok { formula; param = t.param; depth; classes; certified })
@@ -359,6 +372,9 @@ let pp_outcome fmt o =
   List.iter
     (fun c ->
       match c.checked with
+      | Ok _ when c.truncated ->
+        fprintf fmt "  class %a (rep %s=%d): truncated at %d abstract states@,"
+          pp_instances c o.param c.rep c.abstract_states
       | Ok n ->
         fprintf fmt "  class %a (rep %s=%d): HOLDS on %d abstract traces (%d abstract states)@,"
           pp_instances c o.param c.rep n c.abstract_states

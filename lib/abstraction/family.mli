@@ -70,6 +70,9 @@ type class_outcome = {
       (** the class also contains every satisfying value above the
           enumeration bound *)
   abstract_states : int;
+  truncated : bool;
+      (** the abstract exploration stopped at [max_states]: traces
+          beyond the bound went unchecked *)
   checked : (int, Csp_trace.Trace.t * string) result;
       (** [Ok traces_checked], or the offending abstract trace and the
           violated invariant *)
@@ -80,7 +83,8 @@ type outcome = {
   param : string;
   depth : int;
   classes : class_outcome list;
-  certified : bool;  (** every class checked [Ok] *)
+  certified : bool;
+      (** every class checked [Ok] on a complete abstract exploration *)
 }
 
 val check_family :
@@ -91,9 +95,11 @@ val check_family :
   (outcome, string) result
 (** Verify every invariant of the family on every abstract trace of
     length ≤ [depth] (default 6), once per assignment class of the
-    formula.  [Error] when the formula mentions a parameter other than
-    the family's, when no instance satisfies it, or when the family
-    has no invariants.  Obs counters:
+    formula, exploring at most [max_states] (default 4000) abstract
+    states per class; a truncated class is never certified.  [Error]
+    when the formula mentions a parameter other than the family's,
+    when no instance satisfies it, or when the family has no
+    invariants.  Obs counters:
     [abstraction.family_checks], [abstraction.classes] (and the
     exploration's [abstraction.quotient_states] /
     [abstraction.collapses]). *)

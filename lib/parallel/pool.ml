@@ -426,28 +426,21 @@ let await_async t a =
 
 (* ---- work-stealing sessions ------------------------------------------ *)
 
-(* A stealing session turns the pool's spawned workers into a frontier
-   scheduler: every worker owns a deque, processes its own newest item
-   first, steals half of the nearest non-empty neighbour when it runs
-   dry, and parks on a condition variable when the whole session looks
-   empty.  The caller owns deque [n - 1]: it seeds work with
-   [stealing_push] (round-robin so the first steal is never needed)
-   and either coordinates concurrently (speculative use) or joins the
-   processing loop itself ([stealing_participate]).
+(* A stealing session turns the pool's spawned workers into a
+   speculative frontier scheduler: every worker owns a deque, processes
+   its own newest item first, steals half of the nearest non-empty
+   neighbour when it runs dry, and parks on a condition variable when
+   the whole session looks empty.  The caller owns deque [n - 1]: it
+   seeds work with [stealing_push] (round-robin so the first steal is
+   never needed) and coordinates concurrently; termination is external
+   — the caller decides it has what it needs and calls
+   [stealing_stop].
 
-   Termination is either external — the caller decides it has what it
-   needs and calls [stealing_stop] — or, with [~auto_stop:true], by an
-   outstanding-work counter: every push increments it *before* the
-   item becomes visible and every processed item decrements it *after*
-   its handler returned (so all items the handler pushed are already
-   counted), which makes decrement-to-zero an exact quiescence test.
-
-   Exceptions raised by the worker function are swallowed in
-   speculative sessions (the coordinator re-derives deterministically
-   and hits the same exception on the states that matter; speculation
-   past a truncation bound may legitimately fail where the coordinator
-   never goes) and surfaced at [stealing_stop] in [auto_stop]
-   sessions, where workers do authoritative work.
+   Exceptions raised by the worker function are swallowed: the
+   coordinator re-derives deterministically and hits the same
+   exception on the states that matter, and speculation past a
+   truncation bound may legitimately fail where the coordinator never
+   goes.
 
    Idle protocol (lost-wakeup-free): a pusher bumps the [activity]
    counter after publishing and broadcasts iff a waiter is registered;
@@ -460,13 +453,10 @@ type 'a stealing = {
   deques : 'a Deque.t array;  (* length n; index [n - 1] is the caller's *)
   st_f : worker:int -> push:('a -> unit) -> 'a -> unit;
   st_stop : bool Atomic.t;
-  auto_stop : bool;
-  outstanding : int Atomic.t;  (* pushed but not yet processed *)
   activity : int Atomic.t;  (* bumped per push; versions idle parking *)
   st_waiters : int Atomic.t;
   st_mutex : Mutex.t;
   st_wake : Condition.t;
-  st_exn : exn option Atomic.t;  (* first worker-function exception *)
   mutable st_async : async option;
   mutable rr : int;  (* caller's round-robin seed target *)
   mutable closed : bool;
@@ -486,23 +476,19 @@ let st_request_stop s =
   Mutex.unlock s.st_mutex
 
 let st_push s ~worker x =
-  Atomic.incr s.outstanding;
   Deque.push s.deques.(worker) x;
   Atomic.incr s.activity;
   st_signal s
 
 (* The driver loop: runs on every spawned worker for the session's
-   lifetime, and on the caller too under [stealing_participate]. *)
+   lifetime. *)
 let st_drive s ~worker =
   let my = s.deques.(worker) in
   let n = Array.length s.deques in
   let push x = st_push s ~worker x in
   let process x =
-    (try s.st_f ~worker ~push x
-     with e -> ignore (Atomic.compare_and_set s.st_exn None (Some e)));
-    Atomic.incr stealing_tasks_run;
-    if Atomic.fetch_and_add s.outstanding (-1) = 1 && s.auto_stop then
-      st_request_stop s
+    (try s.st_f ~worker ~push x with _ -> ());
+    Atomic.incr stealing_tasks_run
   in
   let try_steal () =
     let rec scan k =
@@ -511,9 +497,8 @@ let st_drive s ~worker =
         match Deque.steal_half s.deques.((worker + k) mod n) with
         | [] -> scan (k + 1)
         | xs ->
-          (* plain [Deque.push]: the items are already counted in
-             [outstanding] and owned by this (awake) worker, so no
-             activity bump or wakeup is needed *)
+          (* plain [Deque.push]: the items are owned by this (awake)
+             worker, so no activity bump or wakeup is needed *)
           List.iter (Deque.push my) xs;
           true
     in
@@ -544,20 +529,17 @@ let st_drive s ~worker =
   in
   Obs.span ~cat:"pool" "steal-drive" (fun () -> loop ())
 
-let stealing_start t ?(auto_stop = false) f =
+let stealing_start t f =
   let s =
     {
       st_pool = t;
       deques = Array.init t.n (fun _ -> Deque.create ());
       st_f = f;
       st_stop = Atomic.make false;
-      auto_stop;
-      outstanding = Atomic.make 0;
       activity = Atomic.make 0;
       st_waiters = Atomic.make 0;
       st_mutex = Mutex.create ();
       st_wake = Condition.create ();
-      st_exn = Atomic.make None;
       st_async = None;
       rr = 0;
       closed = false;
@@ -574,10 +556,6 @@ let stealing_push s x =
   s.rr <- (w + 1) mod Array.length s.deques;
   st_push s ~worker:w x
 
-let stealing_participate s = st_drive s ~worker:(Array.length s.deques - 1)
-
-let stealing_pending s = Atomic.get s.outstanding
-
 let stealing_stop s =
   if not s.closed then begin
     s.closed <- true;
@@ -589,8 +567,6 @@ let stealing_stop s =
         Fun.protect ~finally:exit_phase (fun () -> await_async s.st_pool a)
       in
       (* driver-machinery failures only: the worker function's own
-         exceptions are routed through [st_exn] above *)
-      Array.iter (function Some e -> raise e | None -> ()) failures);
-    if s.auto_stop then
-      match Atomic.get s.st_exn with Some e -> raise e | None -> ()
+         exceptions are swallowed above *)
+      Array.iter (function Some e -> raise e | None -> ()) failures)
   end

@@ -123,44 +123,22 @@ end
 type 'a stealing
 
 val stealing_start :
-  t ->
-  ?auto_stop:bool ->
-  (worker:int -> push:('a -> unit) -> 'a -> unit) ->
-  'a stealing
+  t -> (worker:int -> push:('a -> unit) -> 'a -> unit) -> 'a stealing
 (** Open a session on the pool, starting one driver loop per spawned
-    worker ([domains - 1] of them; a 1-domain pool starts none and
-    relies on {!stealing_participate}).  [worker] ranges over
-    [0 .. domains - 1]; the caller participates as [domains - 1].
-
-    With [~auto_stop:true] the session stops itself when every pushed
-    item has been processed (exact quiescence: pushes count the item
-    before it becomes visible, processing decrements after the
-    handler — and everything it pushed — is accounted).  Exceptions
-    raised by [f] are then re-raised at {!stealing_stop}; without
-    [auto_stop] the session is speculative and exceptions in [f] are
-    swallowed (the coordinator is expected to re-derive
+    worker ([domains - 1] of them; a 1-domain pool starts none).
+    [worker] ranges over [0 .. domains - 2]; deque [domains - 1] is
+    the caller's seeding slot.  The session is speculative: exceptions
+    in [f] are swallowed (the coordinator is expected to re-derive
     authoritatively). *)
 
 val stealing_push : 'a stealing -> 'a -> unit
 (** Seed work from the caller, distributed round-robin over all
-    deques.  In an [auto_stop] session, push at least one item before
-    waiting on termination. *)
-
-val stealing_participate : 'a stealing -> unit
-(** Run the driver loop on the calling domain (as worker
-    [domains - 1]) until the session stops.  This is how [auto_stop]
-    sessions (and 1-domain pools) make the caller's domain work. *)
-
-val stealing_pending : 'a stealing -> int
-(** Items pushed but not yet fully processed (queued plus in-flight) —
-    a racy load of the session's outstanding counter, for load
-    reporting by long-lived hosts such as [cspc serve]. *)
+    deques. *)
 
 val stealing_stop : 'a stealing -> unit
-(** Stop the session (idempotent): signal every driver, wait for the
-    spawned workers to leave their loops, then re-raise the first
-    worker exception if the session was [auto_stop].  Items still
-    queued are discarded. *)
+(** Stop the session (idempotent): signal every driver and wait for
+    the spawned workers to leave their loops.  Items still queued are
+    discarded. *)
 
 (** {1 Statistics}
 

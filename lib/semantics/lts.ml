@@ -153,111 +153,6 @@ let explore_interpreted ~max_states ?pool cfg p =
             explore_core ~max_states ~get:(Frontier.get fs) p)
       | _ -> explore_core ~max_states ~get:(Step.transitions_i cfg) p)
 
-(* Relaxed exploration: workers explore autonomously, claiming states
-   first-come-first-served; state numbers are claim order, not BFS
-   order.  The promise is weakened to set-equality with the
-   deterministic exploration (same state set, same transition set up
-   to renumbering) — exact only for complete explorations; a bounded
-   one may keep a different max_states-subset of the graph.  *)
-let explore_relaxed ~max_states pool cfg (p : Proc.t) =
-  let max_states = max 1 max_states in
-  let n = Pool.domains pool in
-  let n_shards = 64 in
-  let shard_mask = n_shards - 1 in
-  let locks = Array.init n_shards (fun _ -> Mutex.create ()) in
-  (* node id → claim order, sharded *)
-  let claimed : int Int_tbl.t array =
-    Array.init n_shards (fun _ -> Int_tbl.create 64)
-  in
-  let order_counter = Atomic.make 0 in
-  let overflowed = Atomic.make false in
-  let views = Array.init n (fun _ -> Step.view cfg) in
-  (* per-worker accumulators, merged after the join *)
-  let states_acc : (int * Proc.t) list array = Array.make n [] in
-  let trans_acc : (int * Event.t * Step.visibility * Proc.t) list array =
-    Array.make n []
-  in
-  let claim q =
-    let id = Proc.id q in
-    let k = id land shard_mask in
-    Mutex.lock locks.(k);
-    let r =
-      match Int_tbl.find_opt claimed.(k) id with
-      | Some _ -> None
-      | None ->
-        let o = Atomic.fetch_and_add order_counter 1 in
-        Int_tbl.add claimed.(k) id o;
-        Some o
-    in
-    Mutex.unlock locks.(k);
-    r
-  in
-  let lookup q =
-    let id = Proc.id q in
-    let k = id land shard_mask in
-    Mutex.lock locks.(k);
-    let r = Int_tbl.find_opt claimed.(k) id in
-    Mutex.unlock locks.(k);
-    r
-  in
-  let session =
-    Pool.stealing_start pool ~auto_stop:true (fun ~worker ~push q ->
-        match claim q with
-        | None -> ()
-        | Some o when o >= max_states -> Atomic.set overflowed true
-        | Some o ->
-          states_acc.(worker) <- (o, q) :: states_acc.(worker);
-          Obs.Counter.incr states_interned;
-          let ts = Step.transitions_view views.(worker) q in
-          trans_acc.(worker) <-
-            List.fold_left
-              (fun acc (e, vis, q') -> (o, e, vis, q') :: acc)
-              trans_acc.(worker) ts;
-          List.iter (fun (_, _, q') -> if lookup q' = None then push q') ts)
-  in
-  Fun.protect
-    ~finally:(fun () -> Pool.stealing_stop session)
-    (fun () ->
-      Pool.stealing_push session p;
-      Pool.stealing_participate session);
-  Array.iter Step.merge_view views;
-  let n_states = min (Atomic.get order_counter) max_states in
-  let states = Array.make n_states p in
-  Array.iter
-    (List.iter (fun (o, q) -> if o < n_states then states.(o) <- q))
-    states_acc;
-  let transitions = ref [] and n_transitions = ref 0 in
-  let truncated = Array.make n_states false in
-  let complete = ref (not (Atomic.get overflowed)) in
-  Array.iter
-    (List.iter (fun (o, e, vis, q') ->
-         if o < n_states then
-           match lookup q' with
-           | Some j when j < n_states ->
-             let visible =
-               match (vis : Step.visibility) with
-               | Step.Visible -> true
-               | Step.Hidden -> false
-             in
-             transitions :=
-               { source = o; event = e; visible; target = j } :: !transitions;
-             incr n_transitions
-           | _ ->
-             (* target beyond the bound (or lost to a worker failure):
-                drop the edge, mark the source truncated — mirroring
-                the deterministic bound semantics *)
-             complete := false;
-             truncated.(o) <- true))
-    trans_acc;
-  {
-    initial = 0;  (* the root is the only seed, so it claims order 0 *)
-    states = Array.map Proc.to_process states;
-    transitions = !transitions;
-    complete = !complete;
-    n_transitions = !n_transitions;
-    truncated;
-  }
-
 (* A compiled automaton's raw exploration carries the same fields in
    the same discovery order; packaging it is projection only. *)
 let of_raw (r : Compiled.raw) =
@@ -274,20 +169,11 @@ let of_raw (r : Compiled.raw) =
     truncated = r.Compiled.raw_truncated;
   }
 
-let explore ?(max_states = 2000) ?pool ?compiled ?(relaxed = false) cfg p =
-  match relaxed, pool with
-  | true, Some pool ->
-    (* relaxed mode bypasses the compiled automaton: its value is
-       letting workers do authoritative work, which the flat CSR
-       tables (single-writer) cannot support *)
-    Obs.span ~cat:"explore" "explore-relaxed"
-      ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
-      (fun () -> explore_relaxed ~max_states pool cfg (Proc.intern p))
-  | _ -> (
-    match compiled with
-    | Some c when Proc.equal (Compiled.root c) (Proc.intern p) ->
-      of_raw (Compiled.explore_raw ~max_states ?pool c)
-    | _ -> explore_interpreted ~max_states ?pool cfg p)
+let explore ?(max_states = 2000) ?pool ?compiled cfg p =
+  match compiled with
+  | Some c when Proc.equal (Compiled.root c) (Proc.intern p) ->
+    of_raw (Compiled.explore_raw ~max_states ?pool c)
+  | _ -> explore_interpreted ~max_states ?pool cfg p
 
 let num_states t = Array.length t.states
 let num_transitions t = t.n_transitions
@@ -339,8 +225,7 @@ let reachable_channels t =
    terms) and transitions (as printed endpoint terms + event) in sorted
    order, plus the initial state and the completeness flag.  Two
    explorations of the same process have equal signatures iff they
-   found the same state set and the same transition set — the contract
-   relaxed mode promises against deterministic mode. *)
+   found the same state set and the same transition set. *)
 let signature t =
   let state_strs = Array.map Process.to_string t.states in
   let sorted_states = Array.copy state_strs in
@@ -386,12 +271,18 @@ let transition_compare a b =
       let c = Event.compare a.event b.event in
       if c <> 0 then c else Bool.compare a.visible b.visible
 
-let to_dot ?(name = "lts") t =
+let to_dot ?(name = "lts") ?(header = "") t =
   Obs.span ~cat:"export" "to_dot"
     ~args:(fun () -> [ ("states", Obs.Int (num_states t)) ])
   @@ fun () ->
-  let buf = Buffer.create 1024 in
   let n = num_states t in
+  (* sized for typical node/edge lines, so large graphs render without
+     the buffer's doubling copies; an underestimate costs one doubling *)
+  let buf =
+    Buffer.create
+      (String.length header + (48 * num_transitions t) + (32 * n) + 64)
+  in
+  Buffer.add_string buf header;
   let dead = Array.make n false in
   List.iter (fun i -> dead.(i) <- true) (deadlock_states t);
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=LR;\n" name);

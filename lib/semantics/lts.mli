@@ -14,9 +14,7 @@
     derive per-state transition lists ahead of the coordinator, which
     replays the sequential BFS consuming their results — so the
     resulting system (state numbering, transition list, truncation and
-    DOT output) is byte-identical whatever the domain count.  An
-    opt-in relaxed mode trades that guarantee for fully autonomous
-    workers and promises only set-equality (see {!explore}). *)
+    DOT output) is byte-identical whatever the domain count. *)
 
 type state = int
 
@@ -59,7 +57,6 @@ val explore :
   ?max_states:int ->
   ?pool:Csp_parallel.Pool.t ->
   ?compiled:Compiled.t ->
-  ?relaxed:bool ->
   Step.config ->
   Csp_lang.Process.t ->
   t
@@ -80,22 +77,13 @@ val explore :
     materialised lazily through the interpreter.  The automaton must
     have been compiled with the same configuration; a [compiled] whose
     root is a different process is ignored and the interpreted path
-    runs.
-
-    [relaxed:true] (with a [pool]) lets the workers explore
-    autonomously: states are numbered in claim order, not BFS order,
-    so numbering and transition order vary run to run.  The promise is
-    weakened to set-equality with the deterministic exploration (equal
-    {!signature}s) — exact for complete explorations; a bounded one
-    may keep a different [max_states]-subset.  Relaxed mode ignores
-    [compiled]; without a [pool] it falls back to the deterministic
-    path. *)
+    runs. *)
 
 val signature : t -> string
 (** Canonical, numbering-independent form: sorted printed states,
     sorted printed transitions, initial state and completeness.  Equal
-    signatures ⇔ same state set, same transition set — the oracle for
-    comparing relaxed against deterministic explorations. *)
+    signatures ⇔ same state set, same transition set, whatever the
+    state numbering. *)
 
 val num_states : t -> int
 
@@ -116,8 +104,11 @@ val is_deterministic : t -> bool
 
 val reachable_channels : t -> Csp_trace.Channel.t list
 
-val to_dot : ?name:string -> t -> string
+val to_dot : ?name:string -> ?header:string -> t -> string
 (** Graphviz source; hidden events are drawn dashed, deadlock states
     doubly circled, truncation-affected states dashed.  Output is
     deterministic: node numbers come from the BFS discovery order and
-    edges are emitted sorted by (source, target, event, visibility). *)
+    edges are emitted sorted by (source, target, event, visibility).
+    [header] (default empty) is emitted verbatim before the graph, so
+    a caller can frame it with status lines without copying the DOT
+    text. *)

@@ -7,13 +7,14 @@ type ctx = {
   digest : string;
   source : string;
   file : Parser.file;
+  domains : int;
   engines : (int, Engine.t) Hashtbl.t;
   mutable compiled_roots : Snapshot.compiled_root list;
   mutable proofs : (string * (Sequent.judgment * Proof.t)) list;
   lock : Mutex.t;
 }
 
-let ctx_of_source source =
+let ctx_of_source ?(domains = 1) source =
   match Parser.parse_file source with
   | Error m -> Error m
   | Ok file ->
@@ -22,6 +23,7 @@ let ctx_of_source source =
         digest = Digest.to_hex (Digest.string source);
         source;
         file;
+        domains;
         engines = Hashtbl.create 2;
         compiled_roots = [];
         proofs = [];
@@ -36,7 +38,9 @@ let engine ctx ~nat_bound =
   match Hashtbl.find_opt ctx.engines nat_bound with
   | Some eng -> eng
   | None ->
-    let eng = Engine.create ~nat_bound ctx.file.Parser.defs in
+    let eng =
+      Engine.create ~domains:ctx.domains ~nat_bound ctx.file.Parser.defs
+    in
     Hashtbl.add ctx.engines nat_bound eng;
     eng
 
@@ -64,9 +68,8 @@ let ( let* ) = Result.bind
 
 (* ---- parse ------------------------------------------------------------ *)
 
-(* Byte-for-byte the output of [cspc parse]: the printed definitions
-   (print_endline appends one newline) followed by one line per
-   assertion declaration. *)
+(* [cspc parse]: the printed definitions and a newline, then one line
+   per assertion declaration. *)
 let parse ctx =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printer.defs ctx.file.Parser.defs);
@@ -97,7 +100,8 @@ let graph ctx ~process ~max_states ~nat_bound ~compiled:use_compiled =
     else None
   in
   let lts =
-    Lts.explore ~max_states ?compiled (Engine.step_config eng) p
+    Lts.explore ~max_states ?pool:(Engine.pool eng) ?compiled
+      (Engine.step_config eng) p
   in
   let status =
     Printf.sprintf
@@ -110,9 +114,44 @@ let graph ctx ~process ~max_states ~nat_bound ~compiled:use_compiled =
       (Lts.is_deterministic lts)
       (List.length (Lts.deadlock_states lts))
   in
+  Ok { output = Lts.to_dot ~name:process ~header:status lts; exit_code = 0 }
+
+(* ---- preset families --------------------------------------------------- *)
+
+module Family = Abstraction.Family
+module Counter = Abstraction.Counter
+
+let find_family model =
+  match Family.find model with
+  | Some f -> Ok f
+  | None ->
+    Error
+      (Printf.sprintf "unknown family %s (have: %s)" model
+         (String.concat ", "
+            (List.map (fun (f : Family.t) -> f.fam.Counter.name) Family.presets)))
+
+(* [graph --abstract counter]: the summary, one legend line per local
+   state, then the DOT of the counter-abstract quotient. *)
+let graph_abstract ~model ~n ~max_states =
+  let* fam = find_family model in
+  let r = Counter.explore ~max_states fam.Family.fam ~n in
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf
+    "%d abstract states, %d transitions%s; %d omega collapse(s); %d local \
+     state(s) in legend\n"
+    r.Counter.quotient_states
+    (Lts.num_transitions r.Counter.lts)
+    (if r.Counter.lts.Lts.complete then "" else " (truncated)")
+    r.Counter.omega_collapses
+    (List.length r.Counter.legend);
+  List.iter
+    (fun (i, p) -> Printf.bprintf buf "  s%d = %s\n" i (Printer.process p))
+    r.Counter.legend;
   Ok
     {
-      output = status ^ Lts.to_dot ~name:process lts;
+      output =
+        Lts.to_dot ~name:(model ^ "_abs") ~header:(Buffer.contents buf)
+          r.Counter.lts;
       exit_code = 0;
     }
 
@@ -135,7 +174,9 @@ let refine ctx ~impl ~spec ~depth ~nat_bound ~weak ~compiled:use_compiled =
       end
       else None
     in
-    let bisimilar = Bisim.weak_equivalent ?compiler cfg p q in
+    let bisimilar =
+      Bisim.weak_equivalent ?pool:(Engine.pool eng) ?compiler cfg p q
+    in
     Ok
       {
         output =
@@ -185,7 +226,7 @@ let tables_of file =
    the same output line — as searching for it afresh; only the search
    is skipped.  A stored proof that no longer checks (it cannot, for
    a fixed source) falls back to the tactic. *)
-let prove ctx =
+let prove ctx ~verbose =
   let tables = tables_of ctx.file in
   let sctx = Sequent.context ctx.file.Parser.defs in
   let buf = Buffer.create 256 in
@@ -224,7 +265,9 @@ let prove ctx =
              "PROVED %s: %d rules, %d obligations (%d by testing)\n" name
              (Proof.size proof)
              (List.length report.Check.obligations)
-             (Check.tested_obligations report))
+             (Check.tested_obligations report));
+        if verbose then
+          Buffer.add_string buf (Format.asprintf "%a@." Check.pp_report report)
       | Error m ->
         incr failures;
         Buffer.add_string buf (Printf.sprintf "FAILED %s: %s\n" name m))
@@ -232,10 +275,32 @@ let prove ctx =
   { output = Buffer.contents buf;
     exit_code = (if !failures > 0 then 1 else 0) }
 
+(* [prove --family]: one counter-abstract exploration per assignment
+   class of the formula certifies the family's erased invariants for
+   every satisfying instance at once. *)
+let prove_family ~model ~formula ~depth =
+  let* fam = find_family model in
+  let* f =
+    Result.map_error
+      (Printf.sprintf "bad formula %S: %s" formula)
+      (Abstraction.Formula.of_string formula)
+  in
+  let* o =
+    Result.map_error
+      (Printf.sprintf "%s: %s" model)
+      (Family.check_family ~depth fam ~formula:f)
+  in
+  Ok
+    {
+      output = Format.asprintf "%a@." Family.pp_outcome o;
+      exit_code = (if o.Family.certified then 0 else 1);
+    }
+
 (* ---- fuzz ------------------------------------------------------------- *)
 
 module Oracle = Csp_testkit.Oracle
 module Fuzz = Csp_testkit.Fuzz
+module Corpus = Csp_testkit.Corpus
 
 let resolve_oracles = function
   | [] -> Ok Oracle.all
@@ -252,8 +317,39 @@ let resolve_oracles = function
       (Ok []) names
     |> Result.map List.rev
 
-let fuzz ~seed ~count ~budget ~oracle_names =
+(* Re-examine every corpus entry of [dir] with its recorded oracle;
+   returns the failure count. *)
+let replay_corpus buf dir =
+  let entries = Corpus.read_dir dir in
+  let failed = ref 0 in
+  List.iter
+    (fun (e : Corpus.entry) ->
+      match Oracle.find e.Corpus.oracle with
+      | None ->
+        incr failed;
+        Printf.bprintf buf "DISABLED %s: oracle %s is not registered\n"
+          e.Corpus.path e.Corpus.oracle
+      | Some o -> (
+        match o.Oracle.check e.Corpus.scenario with
+        | Oracle.Pass ->
+          Printf.bprintf buf "ok %s [%s]\n" e.Corpus.path o.Oracle.name
+        | Oracle.Fail m ->
+          incr failed;
+          Printf.bprintf buf "FAIL %s [%s]: %s\n" e.Corpus.path o.Oracle.name m))
+    entries;
+  Printf.bprintf buf "corpus: %d entr%s replayed, %d failure(s)\n"
+    (List.length entries)
+    (if List.length entries = 1 then "y" else "ies")
+    !failed;
+  !failed
+
+let fuzz ?(jobs = 1) ?(coverage = false) ?replay ?save ~seed ~count ~budget
+    ~oracle_names () =
   let* oracles = resolve_oracles oracle_names in
+  let buf = Buffer.create 1024 in
+  let replay_failures =
+    match replay with None -> 0 | Some dir -> replay_corpus buf dir
+  in
   let config =
     {
       Fuzz.default_config with
@@ -261,12 +357,31 @@ let fuzz ~seed ~count ~budget ~oracle_names =
       max_cases = count;
       budget;
       oracles;
-      jobs = 1;
+      jobs;
     }
   in
-  let report = Fuzz.run config in
+  let report =
+    if coverage then begin
+      let report, cov = Fuzz.run_coverage config in
+      Buffer.add_string buf
+        (Format.asprintf "%a@." Fuzz.pp_coverage (report, cov));
+      report
+    end
+    else Fuzz.run config
+  in
+  Buffer.add_string buf (Format.asprintf "%a@." Fuzz.pp_report report);
+  Option.iter
+    (fun dir ->
+      List.iter
+        (fun (c : Fuzz.counterexample) ->
+          Printf.bprintf buf "saved %s\n"
+            (Corpus.write ~dir ~oracle:c.Fuzz.oracle ~seed c.Fuzz.scenario))
+        report.Fuzz.counterexamples)
+    save;
   Ok
     {
-      output = Format.asprintf "%a@." Fuzz.pp_report report;
-      exit_code = (if report.Fuzz.counterexamples <> [] then 1 else 0);
+      output = Buffer.contents buf;
+      exit_code =
+        (if replay_failures > 0 || report.Fuzz.counterexamples <> [] then 1
+         else 0);
     }

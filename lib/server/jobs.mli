@@ -1,13 +1,15 @@
-(** Job execution for the verification service.
+(** The one implementation of [cspc]'s parse/graph/refine/prove/fuzz
+    subcommands.
 
-    Each job reproduces, byte for byte, the stdout of the matching
-    one-shot [cspc] subcommand on the same input — the differential
-    suite in [test_server.ml] pins this down against the real binary.
-    The difference is purely economic: a {!ctx} survives across
-    requests, so the parsed file, the per-[nat_bound] engines (with
-    their interned IR, step/denote memos and compiled automata) and
-    the proved sequents are paid for once and reused by every later
-    job on the same source.
+    The one-shot CLI builds a cold {!ctx} per invocation and prints
+    {!outcome.output}; [cspc serve] keeps one warm ctx per source —
+    so the two surfaces print the same bytes by construction, which
+    the differential suite in [test_server.ml] re-checks against the
+    real binary.  The difference is purely economic: a served ctx
+    survives across requests, so the parsed file, the per-[nat_bound]
+    engines (with their interned IR, step/denote memos and compiled
+    automata) and the proved sequents are paid for once and reused by
+    every later job on the same source.
 
     A [ctx] additionally records what would be needed to rebuild its
     warm state — the compile calls it has issued and the certificates
@@ -20,6 +22,7 @@ type ctx = {
   digest : string;  (** MD5 of the source text — the cache key *)
   source : string;
   file : Csp_syntax.Parser.file;
+  domains : int;  (** worker domains of every engine this ctx creates *)
   engines : (int, Engine.t) Hashtbl.t;  (** keyed by [nat_bound] *)
   mutable compiled_roots : Csp_persist.Snapshot.compiled_root list;
       (** compile calls issued so far, newest first, deduplicated *)
@@ -30,12 +33,22 @@ type ctx = {
           engine caches are single-writer *)
 }
 
-val ctx_of_source : string -> (ctx, string) result
-(** Parse and cache-key a source; [Error] is the parser's message. *)
+val ctx_of_source : ?domains:int -> string -> (ctx, string) result
+(** Parse and cache-key a source; [Error] is the parser's message.
+    [domains] (default 1) is the CLI's [-j]: graph and weak refine
+    jobs explore on the engine's pool, with byte-identical output at
+    any domain count. *)
 
 val engine : ctx -> nat_bound:int -> Engine.t
 (** The shared engine of this context for the given sampler bound,
     created on first use. *)
+
+val find_process : ctx -> string -> (Process.t, string) result
+(** A reference to a defined process; [Error] names an undefined one. *)
+
+val tables_of : Csp_syntax.Parser.file -> Tactic.tables
+(** The file's assertion declarations as the tactic's invariant
+    tables. *)
 
 type outcome = { output : string; exit_code : int }
 (** Exactly the stdout text and exit status of the one-shot CLI. *)
@@ -49,8 +62,14 @@ val graph :
   nat_bound:int ->
   compiled:bool ->
   (outcome, string) result
-(** [Error] when [process] is not defined (the CLI dies with the same
-    message on stderr). *)
+(** One status line, then the DOT text.  [Error] when [process] is not
+    defined (the CLI dies with the same message on stderr). *)
+
+val graph_abstract :
+  model:string -> n:int -> max_states:int -> (outcome, string) result
+(** The counter-abstract quotient of a preset family at size [n]: a
+    summary line and one legend line per local state, then the DOT
+    text.  [Error] on an unknown family. *)
 
 val refine :
   ctx ->
@@ -62,21 +81,38 @@ val refine :
   compiled:bool ->
   (outcome, string) result
 
-val prove : ctx -> outcome
-(** Proves every declared assertion.  Sequents already proved through
+val prove : ctx -> verbose:bool -> outcome
+(** Proves every declared assertion; [verbose] adds each proof's
+    obligation table after its [PROVED] line.  Sequents already proved through
     this context (including ones admitted from a warm snapshot) skip
     the tactic search: the stored proof tree is re-checked with
     {!Check.check}, which yields the identical report — and therefore
     the identical output — at a fraction of the cost. *)
 
+val prove_family :
+  model:string -> formula:string -> depth:int -> (outcome, string) result
+(** Certify a preset family's invariants for every parameter value
+    satisfying [formula]; exit 1 unless certified.  [Error] on an
+    unknown family or an unparsable formula. *)
+
 val fuzz :
+  ?jobs:int ->
+  ?coverage:bool ->
+  ?replay:string ->
+  ?save:string ->
   seed:int ->
   count:int ->
   budget:float option ->
   oracle_names:string list ->
+  unit ->
   (outcome, string) result
-(** [Error] on an unknown oracle name.  Runs sequentially ([jobs=1]);
-    the wall-clock [budget] is the per-request time budget. *)
+(** [Error] on an unknown oracle name.  [jobs] (default 1) shards the
+    cases over worker domains; [coverage] runs the coverage-guided
+    campaign and prints its curve first.  [replay] first re-examines
+    every corpus entry of that directory; [save] writes each shrunk
+    counterexample into that corpus directory.  Exit 1 on any corpus
+    failure or counterexample.  The wall-clock [budget] is the
+    per-request time budget. *)
 
 val record_compile :
   ctx -> process:string -> budget:int option -> nat_bound:int -> unit

@@ -283,7 +283,7 @@ let job_result t req = function
         with
         | Ok o -> Ok o
         | Error m -> Error (Protocol.Bad_request, m))
-  | "prove" -> with_ctx t req (fun ctx -> Ok (Jobs.prove ctx))
+  | "prove" -> with_ctx t req (fun ctx -> Ok (Jobs.prove ctx ~verbose:false))
   | "fuzz" ->
     let* count =
       int_param req "count" ~default:200 ~cap:t.limits.Protocol.max_cases
@@ -307,7 +307,7 @@ let job_result t req = function
       | Some (Json.Arr xs) -> List.filter_map Json.to_str xs
       | _ -> []
     in
-    (match Jobs.fuzz ~seed ~count ~budget ~oracle_names with
+    (match Jobs.fuzz ~seed ~count ~budget ~oracle_names () with
     | Ok o -> Ok o
     | Error m -> Error (Protocol.Bad_request, m))
   | op -> Error (Protocol.Bad_request, Printf.sprintf "unknown op %S" op)

@@ -327,6 +327,8 @@ let test_family_ring_bounded () =
   check_int "three classes" 3 (List.length o.Family.classes);
   check_bool "no unbounded tail" true
     (List.for_all (fun c -> not c.Family.unbounded_tail) o.Family.classes);
+  check_bool "no class truncated" true
+    (List.for_all (fun c -> not c.Family.truncated) o.Family.classes);
   (* the classes partition the satisfying instances 2..32 *)
   let all =
     List.sort compare
@@ -398,6 +400,22 @@ let test_family_refutation () =
        o.Family.classes);
   let report = Format.asprintf "%a" Family.pp_outcome o in
   check_bool "report says NOT CERTIFIED" true (contains report "NOT CERTIFIED")
+
+(* A class whose abstract exploration stops at [max_states] has traces
+   the check never saw: it must not certify the family. *)
+let test_family_truncated_not_certified () =
+  let o =
+    outcome_of
+      (Family.check_family ~depth:6 ~max_states:2 Family.token_ring
+         ~formula:(formula "n <= 8"))
+  in
+  check_bool "not certified" false o.Family.certified;
+  check_bool "every class truncated" true
+    (List.for_all (fun c -> c.Family.truncated) o.Family.classes);
+  let report = Format.asprintf "%a" Family.pp_outcome o in
+  check_bool "report says NOT CERTIFIED" true (contains report "NOT CERTIFIED");
+  check_bool "report names the bound" true
+    (contains report "truncated at 2 abstract states")
 
 let test_family_counters_move () =
   let before = Obs.Counter.get (Obs.Counter.make "abstraction.family_checks") in
@@ -531,6 +549,8 @@ let () =
           Alcotest.test_case "error cases" `Quick test_family_errors;
           Alcotest.test_case "false invariant refuted" `Quick
             test_family_refutation;
+          Alcotest.test_case "truncated class not certified" `Quick
+            test_family_truncated_not_certified;
           Alcotest.test_case "obs counters move" `Quick
             test_family_counters_move;
         ] );

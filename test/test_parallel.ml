@@ -208,61 +208,6 @@ let test_explore_philosophers_identical () =
             true (lts_equal_seq seq par)))
     domain_counts
 
-(* ---- relaxed exploration: set-equality against deterministic --------- *)
-
-(* Relaxed mode numbers states in claim order, so numbering and
-   transition order are schedule-dependent — but on a complete
-   exploration the state set and transition set must match the
-   deterministic run exactly.  [Lts.signature] is the
-   numbering-independent canonical form. *)
-let test_relaxed_signature_oracle () =
-  let models =
-    [
-      ( "philosophers-3",
-        fun () ->
-          let ph = Paper.Philosophers.make ~n:3 ~left_handed_last:true () in
-          ( Step.config ~sampler:(Sampler.nat_bound 3)
-              ph.Paper.Philosophers.defs,
-            ph.Paper.Philosophers.network ) );
-      ( "sliding-window-w2",
-        fun () ->
-          let m = Models.Sliding_window.make ~w:2 in
-          ( Step.config ~sampler:(Sampler.nat_bound 2)
-              m.Models.Sliding_window.defs,
-            m.Models.Sliding_window.network ) );
-    ]
-  in
-  List.iter
-    (fun (label, mk) ->
-      let cfg, net = mk () in
-      let seq = Lts.explore ~max_states:20_000 cfg net in
-      Alcotest.(check bool)
-        (label ^ ": deterministic run is complete")
-        true seq.Lts.complete;
-      let want = Lts.signature seq in
-      (* without a pool, relaxed falls back to the deterministic path *)
-      let fallback =
-        let cfg, net = mk () in
-        Lts.explore ~max_states:20_000 ~relaxed:true cfg net
-      in
-      Alcotest.(check bool)
-        (label ^ ": relaxed without pool is byte-identical")
-        true
-        (lts_equal_seq seq fallback);
-      List.iter
-        (fun domains ->
-          Pool.with_pool ~domains (fun pool ->
-              let cfg, net = mk () in
-              let relaxed =
-                Lts.explore ~max_states:20_000 ~pool ~relaxed:true cfg net
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s: relaxed signature at %d domains" label
-                   domains)
-                want (Lts.signature relaxed)))
-        domain_counts)
-    models
-
 (* ---- sharded fuzzing ≡ sequential fuzzing ---------------------------- *)
 
 (* A deliberately failing oracle so the determinism check covers the
@@ -458,8 +403,6 @@ let () =
           explore_deterministic;
           Alcotest.test_case "philosophers byte-identical" `Quick
             test_explore_philosophers_identical;
-          Alcotest.test_case "relaxed signature oracle" `Quick
-            test_relaxed_signature_oracle;
         ] );
       ( "fuzz",
         [

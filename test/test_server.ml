@@ -98,6 +98,10 @@ let diff_cases =
       ring_source,
       req "graph" [ ("process", Json.str "main") ],
       fun p -> [ "graph"; p; "-p"; "main" ] );
+    ( "graph ring -j 2",
+      ring_source,
+      req "graph" [ ("process", Json.str "main") ],
+      fun p -> [ "graph"; p; "-p"; "main"; "-j"; "2" ] );
     ( "graph window tight budget",
       window_source,
       req "graph" [ ("process", Json.str "main"); ("max_states", Json.int 5) ],
@@ -116,6 +120,13 @@ let diff_cases =
         [ ("impl", Json.str "impl"); ("spec", Json.str "impl");
           ("weak", Json.Bool true) ],
       fun p -> [ "refine"; p; "-p"; "impl"; "-s"; "impl"; "--weak" ] );
+    ( "refine weak -j 2",
+      refine_ok_source,
+      req "refine"
+        [ ("impl", Json.str "impl"); ("spec", Json.str "spec");
+          ("weak", Json.Bool true) ],
+      fun p ->
+        [ "refine"; p; "-p"; "impl"; "-s"; "spec"; "--weak"; "-j"; "2" ] );
     ("prove protocol", protocol_source, req "prove" [], fun p -> [ "prove"; p ]);
     ("prove copier", copier_source, req "prove" [], fun p -> [ "prove"; p ]);
   ]
