@@ -578,6 +578,15 @@ let a2_closure_ablation () =
   time "trie hide" (fun () -> Closure.hide in_wire trie);
   time "list hide" (fun () -> Naive.hide in_wire listed)
 
+(* A leg's "snapshot" is the counters its own measurement moved
+   ([Obs.delta_snapshot] around it), never the process's cumulative
+   registry — which would carry every earlier leg's keys. *)
+let counters_json deltas =
+  "{"
+  ^ String.concat ", "
+      (List.map (fun (k, n) -> Printf.sprintf "\"%s\": %d" k n) deltas)
+  ^ "}"
+
 (* Wall-clock of the best of [repeats] runs, in ms.  With [cold], the
    closure kernel's global caches are cleared before every run, so
    sharing within one run is measured but reuse across runs is not. *)
@@ -614,7 +623,7 @@ type p11_warm = {
   warm_misses : int;
 }
 
-let write_p11_json path ~host_domains ~underpowered ~warm rows =
+let write_p11_json path ~host_domains ~underpowered ~warm ~counters rows =
   let oc = open_out path in
   Printf.fprintf oc
     "{\n  \"bench\": \"p11_parallel\",\n  \"host_domains\": %d,\n  \
@@ -636,7 +645,7 @@ let write_p11_json path ~host_domains ~underpowered ~warm rows =
      \"warm_ms\": %.3f, \"trans_hits\": %d, \"trans_misses\": %d },\n"
     warm.warm_workload warm.warm_cold_ms warm.warm_warm_ms warm.warm_hits
     warm.warm_misses;
-  Printf.fprintf oc "  \"snapshot\": %s\n}\n" (Obs.snapshot_json ());
+  Printf.fprintf oc "  \"snapshot\": %s\n}\n" (counters_json counters);
   close_out oc
 
 let p11_parallel ?(smoke = false) () =
@@ -679,99 +688,103 @@ let p11_parallel ?(smoke = false) () =
      else "");
   let max_states = 50_000 in
   let rows = ref [] in
-  (* Sequential references, one per workload: the byte-identity oracle
-     and the speedup baseline. *)
-  let references =
-    List.map
-      (fun (label, mk) ->
-        let cfg, net = mk () in
-        (label, Lts.to_dot (Lts.explore ~max_states cfg net)))
-      workloads
-  in
-  let seq_ms : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  result "  %-20s %8s %10s %8s %8s %10s %10s\n" "workload" "domains" "ms"
-    "states" "trans" "speedup" "identical";
-  (* One pool per domain count, shared across every workload leg: pool
-     construction (domain spawn) is paid once, not once per cell, so
-     the timings measure exploration, not setup. *)
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          List.iter
-            (fun (label, mk) ->
-              let ref_dot = List.assoc label references in
-              let run () =
-                let cfg, net = mk () in
-                Lts.explore ~max_states ~pool cfg net
-              in
-              (* warm-up, then best-of-2 on cold configurations *)
-              let lts = run () in
-              let ms =
-                let best = ref infinity in
-                for _ = 1 to 2 do
-                  let t0 = Unix.gettimeofday () in
-                  ignore (Sys.opaque_identity (run ()));
-                  let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-                  if dt < !best then best := dt
-                done;
-                !best
-              in
-              if domains = 1 then Hashtbl.replace seq_ms label ms;
-              let identical = String.equal (Lts.to_dot lts) ref_dot in
-              let speedup =
-                match Hashtbl.find_opt seq_ms label with
-                | Some s when ms > 0.0 -> s /. ms
-                | _ -> 1.0
-              in
-              result "  %-20s %8d %10.1f %8d %8d %9.2fx %10b\n" label domains
-                ms (Lts.num_states lts) (Lts.num_transitions lts) speedup
-                identical;
-              rows :=
-                {
-                  p11_workload = label;
-                  p11_domains = domains;
-                  p11_ms = ms;
-                  p11_states = Lts.num_states lts;
-                  p11_transitions = Lts.num_transitions lts;
-                  p11_speedup = speedup;
-                  p11_identical = identical;
-                }
-                :: !rows)
-            workloads))
-    domain_counts;
-  (* Warm-config leg: the per-config transition cache pays off only
-     when one configuration serves several explorations (repeated
-     [cspc graph] queries, refinement checks against the same spec).
-     Explore twice on the same configuration and report the second
-     run's time and the cache delta — hits > 0 is also the regression
-     guard for the cache keying (see test_step). *)
-  let warm =
-    let label, mk = List.hd workloads in
-    let cfg, net = mk () in
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      (Unix.gettimeofday () -. t0) *. 1000.0
+  let warm, counters =
+    Obs.delta_snapshot @@ fun () ->
+    (* Sequential references, one per workload: the byte-identity
+       oracle and the speedup baseline. *)
+    let references =
+      List.map
+        (fun (label, mk) ->
+          let cfg, net = mk () in
+          (label, Lts.to_dot (Lts.explore ~max_states cfg net)))
+        workloads
     in
-    let cold_ms = time (fun () -> Lts.explore ~max_states cfg net) in
-    let before = Step.stats () in
-    let warm_ms = time (fun () -> Lts.explore ~max_states cfg net) in
-    let after = Step.stats () in
-    {
-      warm_workload = label;
-      warm_cold_ms = cold_ms;
-      warm_warm_ms = warm_ms;
-      warm_hits = after.Step.trans_hits - before.Step.trans_hits;
-      warm_misses = after.Step.trans_misses - before.Step.trans_misses;
-    }
+    let seq_ms : (string, float) Hashtbl.t = Hashtbl.create 8 in
+    result "  %-20s %8s %10s %8s %8s %10s %10s\n" "workload" "domains" "ms"
+      "states" "trans" "speedup" "identical";
+    (* One pool per domain count, shared across every workload leg: pool
+       construction (domain spawn) is paid once, not once per cell, so
+       the timings measure exploration, not setup. *)
+    List.iter
+      (fun domains ->
+        Pool.with_pool ~domains (fun pool ->
+            List.iter
+              (fun (label, mk) ->
+                let ref_dot = List.assoc label references in
+                let run () =
+                  let cfg, net = mk () in
+                  Lts.explore ~max_states ~pool cfg net
+                in
+                (* warm-up, then best-of-2 on cold configurations *)
+                let lts = run () in
+                let ms =
+                  let best = ref infinity in
+                  for _ = 1 to 2 do
+                    let t0 = Unix.gettimeofday () in
+                    ignore (Sys.opaque_identity (run ()));
+                    let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
+                    if dt < !best then best := dt
+                  done;
+                  !best
+                in
+                if domains = 1 then Hashtbl.replace seq_ms label ms;
+                let identical = String.equal (Lts.to_dot lts) ref_dot in
+                let speedup =
+                  match Hashtbl.find_opt seq_ms label with
+                  | Some s when ms > 0.0 -> s /. ms
+                  | _ -> 1.0
+                in
+                result "  %-20s %8d %10.1f %8d %8d %9.2fx %10b\n" label domains
+                  ms (Lts.num_states lts) (Lts.num_transitions lts) speedup
+                  identical;
+                rows :=
+                  {
+                    p11_workload = label;
+                    p11_domains = domains;
+                    p11_ms = ms;
+                    p11_states = Lts.num_states lts;
+                    p11_transitions = Lts.num_transitions lts;
+                    p11_speedup = speedup;
+                    p11_identical = identical;
+                  }
+                  :: !rows)
+              workloads))
+      domain_counts;
+    (* Warm-config leg: the per-config transition cache pays off only
+       when one configuration serves several explorations (repeated
+       [cspc graph] queries, refinement checks against the same spec).
+       Explore twice on the same configuration and report the second
+       run's time and the cache delta — hits > 0 is also the regression
+       guard for the cache keying (see test_step). *)
+    let warm =
+      let label, mk = List.hd workloads in
+      let cfg, net = mk () in
+      let time f =
+        let t0 = Unix.gettimeofday () in
+        ignore (Sys.opaque_identity (f ()));
+        (Unix.gettimeofday () -. t0) *. 1000.0
+      in
+      let cold_ms = time (fun () -> Lts.explore ~max_states cfg net) in
+      let before = Step.stats () in
+      let warm_ms = time (fun () -> Lts.explore ~max_states cfg net) in
+      let after = Step.stats () in
+      {
+        warm_workload = label;
+        warm_cold_ms = cold_ms;
+        warm_warm_ms = warm_ms;
+        warm_hits = after.Step.trans_hits - before.Step.trans_hits;
+        warm_misses = after.Step.trans_misses - before.Step.trans_misses;
+      }
+    in
+    result
+      "  warm-config (%s): cold %.1f ms, warm %.1f ms — trans-cache %d hits, \
+       %d misses on the warm run\n"
+      warm.warm_workload warm.warm_cold_ms warm.warm_warm_ms warm.warm_hits
+      warm.warm_misses;
+    warm
   in
-  result
-    "  warm-config (%s): cold %.1f ms, warm %.1f ms — trans-cache %d hits, \
-     %d misses on the warm run\n"
-    warm.warm_workload warm.warm_cold_ms warm.warm_warm_ms warm.warm_hits
-    warm.warm_misses;
   write_p11_json "BENCH_parallel.json" ~host_domains:host ~underpowered ~warm
-    (List.rev !rows);
+    ~counters (List.rev !rows);
   result "  wrote BENCH_parallel.json\n"
 
 (* ---------------------------------------------------------------------- *)
@@ -952,7 +965,7 @@ type p13_row = {
   p13_identical : bool; (* DOT byte-identical to interpreted *)
 }
 
-let write_p13_json path rows =
+let write_p13_json path ~counters rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"bench\": \"p13_compiled\",\n  \"results\": [\n";
   let last = List.length rows - 1 in
@@ -969,7 +982,7 @@ let write_p13_json path rows =
         r.p13_compiled_sps r.p13_fallbacks r.p13_identical
         (if i = last then "" else ","))
     rows;
-  Printf.fprintf oc "  ],\n  \"snapshot\": %s\n}\n" (Obs.snapshot_json ());
+  Printf.fprintf oc "  ],\n  \"snapshot\": %s\n}\n" (counters_json counters);
   close_out oc
 
 let p13_compiled ?(smoke = false) () =
@@ -1006,53 +1019,56 @@ let p13_compiled ?(smoke = false) () =
   result "  %-18s %8s %8s %10s %10s %10s %8s %12s %12s\n" "workload" "states"
     "trans" "interp(ms)" "compile" "explore" "speedup" "interp-st/s"
     "compiled-st/s";
-  List.iter
-    (fun (label, mk) ->
-      let reference =
+  let (), counters =
+    Obs.delta_snapshot @@ fun () ->
+    List.iter
+      (fun (label, mk) ->
+        let reference =
+          let cfg, net = mk () in
+          Lts.explore ~max_states cfg net
+        in
+        let ref_dot = Lts.to_dot reference in
+        (* interpreted: fresh configuration per run, like one CLI call *)
+        let interp_ms =
+          best_of (fun () ->
+              let cfg, net = mk () in
+              Lts.explore ~max_states cfg net)
+        in
+        (* compiled: one compile amortised over the explores *)
         let cfg, net = mk () in
-        Lts.explore ~max_states cfg net
-      in
-      let ref_dot = Lts.to_dot reference in
-      (* interpreted: fresh configuration per run, like one CLI call *)
-      let interp_ms =
-        best_of (fun () ->
-            let cfg, net = mk () in
-            Lts.explore ~max_states cfg net)
-      in
-      (* compiled: one compile amortised over the explores *)
-      let cfg, net = mk () in
-      let compiled = Compiled.compile cfg net in
-      let compiled_ms =
-        best_of (fun () -> Lts.explore ~max_states ~compiled cfg net)
-      in
-      let lts = Lts.explore ~max_states ~compiled cfg net in
-      let identical = String.equal (Lts.to_dot lts) ref_dot in
-      let states = Lts.num_states lts in
-      let sps ms =
-        if ms > 0.0 then float_of_int states /. (ms /. 1000.0) else 0.0
-      in
-      let speedup = if compiled_ms > 0.0 then interp_ms /. compiled_ms else 1.0 in
-      result "  %-18s %8d %8d %10.1f %10.1f %10.2f %7.1fx %12.0f %12.0f\n"
-        label states (Lts.num_transitions lts) interp_ms
-        (Compiled.compile_ms compiled)
-        compiled_ms speedup (sps interp_ms) (sps compiled_ms);
-      rows :=
-        {
-          p13_workload = label;
-          p13_states = states;
-          p13_transitions = Lts.num_transitions lts;
-          p13_interp_ms = interp_ms;
-          p13_compile_ms = Compiled.compile_ms compiled;
-          p13_compiled_ms = compiled_ms;
-          p13_speedup = speedup;
-          p13_interp_sps = sps interp_ms;
-          p13_compiled_sps = sps compiled_ms;
-          p13_fallbacks = Compiled.fallbacks compiled;
-          p13_identical = identical;
-        }
-        :: !rows)
-    workloads;
-  write_p13_json "BENCH_compiled.json" (List.rev !rows);
+        let compiled = Compiled.compile cfg net in
+        let compiled_ms =
+          best_of (fun () -> Lts.explore ~max_states ~compiled cfg net)
+        in
+        let lts = Lts.explore ~max_states ~compiled cfg net in
+        let identical = String.equal (Lts.to_dot lts) ref_dot in
+        let states = Lts.num_states lts in
+        let sps ms =
+          if ms > 0.0 then float_of_int states /. (ms /. 1000.0) else 0.0
+        in
+        let speedup = if compiled_ms > 0.0 then interp_ms /. compiled_ms else 1.0 in
+        result "  %-18s %8d %8d %10.1f %10.1f %10.2f %7.1fx %12.0f %12.0f\n"
+          label states (Lts.num_transitions lts) interp_ms
+          (Compiled.compile_ms compiled)
+          compiled_ms speedup (sps interp_ms) (sps compiled_ms);
+        rows :=
+          {
+            p13_workload = label;
+            p13_states = states;
+            p13_transitions = Lts.num_transitions lts;
+            p13_interp_ms = interp_ms;
+            p13_compile_ms = Compiled.compile_ms compiled;
+            p13_compiled_ms = compiled_ms;
+            p13_speedup = speedup;
+            p13_interp_sps = sps interp_ms;
+            p13_compiled_sps = sps compiled_ms;
+            p13_fallbacks = Compiled.fallbacks compiled;
+            p13_identical = identical;
+          }
+          :: !rows)
+      workloads
+  in
+  write_p13_json "BENCH_compiled.json" ~counters (List.rev !rows);
   result "  wrote BENCH_compiled.json\n"
 
 (* ---------------------------------------------------------------------- *)
@@ -1077,7 +1093,7 @@ type p14_row = {
   p14_curve : (int * int) list;
 }
 
-let write_p14_json path ~seed rows =
+let write_p14_json path ~seed ~counters rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"bench\": \"p14_fuzz_coverage\",\n  \"seed\": %d,\n  \"results\": [\n" seed;
   let last = List.length rows - 1 in
@@ -1095,7 +1111,7 @@ let write_p14_json path ~seed rows =
         r.p14_distinct r.p14_corpus r.p14_minimised curve
         (if i = last then "" else ","))
     rows;
-  Printf.fprintf oc "  ],\n  \"snapshot\": %s\n}\n" (Obs.snapshot_json ());
+  Printf.fprintf oc "  ],\n  \"snapshot\": %s\n}\n" (counters_json counters);
   close_out oc
 
 let p14_fuzz_coverage ?(smoke = false) () =
@@ -1123,8 +1139,12 @@ let p14_fuzz_coverage ?(smoke = false) () =
   (* blind first so the guided run cannot inherit any advantage from
      process-global registry state (the per-case diff is delta-based,
      but symmetry costs nothing) *)
-  let blind = campaign ~guided:false in
-  let guided = campaign ~guided:true in
+  let (blind, guided), counters =
+    Obs.delta_snapshot @@ fun () ->
+    let blind = campaign ~guided:false in
+    let guided = campaign ~guided:true in
+    (blind, guided)
+  in
   result "  %-8s %6s %9s %11s %10s %8s %10s\n" "mode" "cases" "time(s)"
     "execs/sec" "features" "corpus" "minimised";
   List.iter
@@ -1138,7 +1158,7 @@ let p14_fuzz_coverage ?(smoke = false) () =
        float_of_int guided.p14_distinct /. float_of_int blind.p14_distinct
      else 0.)
     (if guided.p14_distinct > blind.p14_distinct then "" else "  (NO GAIN)");
-  write_p14_json "BENCH_fuzz.json" ~seed [ guided; blind ];
+  write_p14_json "BENCH_fuzz.json" ~seed ~counters [ guided; blind ];
   result "  wrote BENCH_fuzz.json\n"
 
 (* ---------------------------------------------------------------------- *)
@@ -1198,7 +1218,7 @@ let p15_time_first socket probe =
   | Error m -> failwith ("p15: probe: " ^ m)
 
 let write_p15_json path ~jobs ~connections ~repeat ~distinct ~cold_ms ~warm_ms
-    (s : Workload.summary) =
+    ~counters (s : Workload.summary) =
   let oc = open_out path in
   Printf.fprintf oc
     "{\n  \"bench\": \"p15_serve\",\n  \"jobs\": %d,\n  \"connections\": \
@@ -1210,7 +1230,7 @@ let write_p15_json path ~jobs ~connections ~repeat ~distinct ~cold_ms ~warm_ms
     jobs connections repeat distinct s.Workload.requests s.Workload.errors
     s.Workload.wall_s s.Workload.req_per_s s.Workload.p50_ms s.Workload.p99_ms
     cold_ms warm_ms (warm_ms < cold_ms)
-    (Obs.snapshot_json ());
+    (counters_json counters);
   close_out oc
 
 let p15_serve ?(smoke = false) () =
@@ -1236,23 +1256,27 @@ let p15_serve ?(smoke = false) () =
     (List.find is_graph items).Workload.request
   in
   (* cold: a fresh server's first request pays parse + Engine.compile *)
-  let d = p15_start_server (Server.config ~jobs socket) in
-  let cold_ms = p15_time_first socket probe in
-  let summary =
-    match Workload.replay ~connections ~repeat ~socket items with
-    | Ok (_, s) -> s
-    | Error m -> failwith ("p15: replay: " ^ m)
+  let (cold_ms, warm_ms, summary), counters =
+    Obs.delta_snapshot @@ fun () ->
+    let d = p15_start_server (Server.config ~jobs socket) in
+    let cold_ms = p15_time_first socket probe in
+    let summary =
+      match Workload.replay ~connections ~repeat ~socket items with
+      | Ok (_, s) -> s
+      | Error m -> failwith ("p15: replay: " ^ m)
+    in
+    ignore
+      (p15_request socket
+         [ ("op", Wjson.str "save"); ("path", Wjson.str snapshot) ]);
+    p15_stop_server socket d;
+    (* warm: [--warm] replays the snapshot before the socket opens, so
+       the first request runs against hot caches *)
+    let d2 = p15_start_server (Server.config ~jobs ~warm:snapshot socket) in
+    let warm_ms = p15_time_first socket probe in
+    p15_stop_server socket d2;
+    Sys.remove snapshot;
+    (cold_ms, warm_ms, summary)
   in
-  ignore
-    (p15_request socket
-       [ ("op", Wjson.str "save"); ("path", Wjson.str snapshot) ]);
-  p15_stop_server socket d;
-  (* warm: [--warm] replays the snapshot before the socket opens, so
-     the first request runs against hot caches *)
-  let d2 = p15_start_server (Server.config ~jobs ~warm:snapshot socket) in
-  let warm_ms = p15_time_first socket probe in
-  p15_stop_server socket d2;
-  Sys.remove snapshot;
   result "  workload: %d distinct items x%d over %d connections, jobs=%d\n"
     (List.length items) repeat connections jobs;
   result "  %8d requests  %d errors  %8.1f req/s  p50 %6.2f ms  p99 %6.2f ms\n"
@@ -1262,7 +1286,7 @@ let p15_serve ?(smoke = false) () =
     cold_ms warm_ms
     (ok (warm_ms < cold_ms));
   write_p15_json "BENCH_serve.json" ~jobs ~connections ~repeat
-    ~distinct:(List.length items) ~cold_ms ~warm_ms summary;
+    ~distinct:(List.length items) ~cold_ms ~warm_ms ~counters summary;
   result "  wrote BENCH_serve.json\n"
 
 (* ---------------------------------------------------------------------- *)
@@ -1293,7 +1317,7 @@ type p16_row = {
 }
 
 let write_p16_json path rows ~check_model ~check_formula ~check_classes
-    ~check_certified ~check_ms =
+    ~check_certified ~check_ms ~counters =
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"bench\": \"p16_abstraction\",\n  \"results\": [\n";
   let last = List.length rows - 1 in
@@ -1317,128 +1341,132 @@ let write_p16_json path rows ~check_model ~check_formula ~check_classes
      \"classes\": %d, \"certified\": %b, \"ms\": %.3f },\n  \"snapshot\": \
      %s\n}\n"
     check_model check_formula check_classes check_certified check_ms
-    (Obs.snapshot_json ());
+    (counters_json counters);
   close_out oc
 
 let p16_abstraction ?(smoke = false) () =
   section "P16: counter abstraction — abstract quotient vs concrete product";
-  let time_ms f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    ((Unix.gettimeofday () -. t0) *. 1000., r)
+  let (rows, check_formula, check_classes, check_certified, check_ms), counters =
+    Obs.delta_snapshot @@ fun () ->
+    let time_ms f =
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      ((Unix.gettimeofday () -. t0) *. 1000., r)
+    in
+    let concrete name ~n =
+      match name with
+      | "token-ring" ->
+        let m = Models.Token_ring.make ~n in
+        (m.Models.Token_ring.defs, m.Models.Token_ring.network)
+      | "leader" ->
+        let m = Models.Leader.make ~n in
+        (m.Models.Leader.defs, m.Models.Leader.network)
+      | "workers" ->
+        let m = Models.Workers.make ~n in
+        (m.Models.Workers.defs, m.Models.Workers.network)
+      | other -> failwith ("p16: no concrete instance for " ^ other)
+    in
+    let cases =
+      if smoke then
+        [ ("token-ring", [ 2; 4; 8 ]); ("leader", [ 2; 3 ]);
+          ("workers", [ 2; 4; 8 ]) ]
+      else
+        [ ("token-ring", [ 2; 4; 8; 16 ]); ("leader", [ 2; 4; 6 ]);
+          ("workers", [ 2; 4; 8; 16 ]) ]
+    in
+    let sound_depth = 3 in
+    let rows =
+      List.concat_map
+        (fun (name, sizes) ->
+          let fam =
+            match Abstraction.Family.find name with
+            | Some f -> f
+            | None -> failwith ("p16: no family preset " ^ name)
+          in
+          List.map
+            (fun n ->
+              let defs, network = concrete name ~n in
+              let concrete_ms, lts =
+                time_ms (fun () ->
+                    let eng = Engine.create ~nat_bound:2 defs in
+                    let compiled = Engine.compile ~budget:200_000 eng network in
+                    Lts.explore ~max_states:200_000 ~compiled
+                      (Engine.step_config eng) network)
+              in
+              let abstract_ms, r =
+                time_ms (fun () ->
+                    Abstraction.Counter.explore
+                      fam.Abstraction.Family.fam ~n)
+              in
+              (* the inclusion that makes the quotient a sound verdict
+                 carrier: α(concrete traces) ⊆ traces(abstract) *)
+              let cfg =
+                Step.config ~sampler:(Sampler.nat_bound 2) defs
+              in
+              let traces =
+                Closure.to_traces (Step.traces cfg ~depth:sound_depth network)
+              in
+              let sound =
+                List.for_all
+                  (fun tr ->
+                    Abstraction.Counter.accepts r.Abstraction.Counter.lts
+                      (Abstraction.Family.abstract_trace fam tr))
+                  traces
+              in
+              {
+                p16_family = name;
+                p16_n = n;
+                p16_concrete_states = Lts.num_states lts;
+                p16_concrete_complete = lts.Lts.complete;
+                p16_concrete_ms = concrete_ms;
+                p16_abstract_states = r.Abstraction.Counter.quotient_states;
+                p16_collapses = r.Abstraction.Counter.omega_collapses;
+                p16_abstract_ms = abstract_ms;
+                p16_sound = sound;
+              })
+            sizes)
+        cases
+    in
+    result "  %-12s %4s %10s %10s %9s %12s %8s\n" "family" "n" "concrete"
+      "abstract" "collapse" "sound" "abs(ms)";
+    List.iter
+      (fun r ->
+        result "  %-12s %4d %9d%s %10d %9d %12s %8.2f\n" r.p16_family r.p16_n
+          r.p16_concrete_states
+          (if r.p16_concrete_complete then "" else "+")
+          r.p16_abstract_states r.p16_collapses (ok r.p16_sound)
+          r.p16_abstract_ms)
+      rows;
+    (* one run certifying the ring for every n up to 32 *)
+    let fam =
+      match Abstraction.Family.find "token-ring" with
+      | Some f -> f
+      | None -> failwith "p16: no token-ring preset"
+    in
+    let check_formula = "n<=32" in
+    let formula =
+      match Abstraction.Formula.of_string check_formula with
+      | Ok f -> f
+      | Error m -> failwith ("p16: " ^ m)
+    in
+    let check_ms, outcome =
+      time_ms (fun () ->
+          Abstraction.Family.check_family ~depth:(if smoke then 6 else 8) fam
+            ~formula)
+    in
+    let check_classes, check_certified =
+      match outcome with
+      | Ok o ->
+        (List.length o.Abstraction.Family.classes,
+         o.Abstraction.Family.certified)
+      | Error m -> failwith ("p16: family check: " ^ m)
+    in
+    result "  ring for all %s: %d class(es), certified %s in %.1f ms\n"
+      check_formula check_classes (ok check_certified) check_ms;
+    (rows, check_formula, check_classes, check_certified, check_ms)
   in
-  let concrete name ~n =
-    match name with
-    | "token-ring" ->
-      let m = Models.Token_ring.make ~n in
-      (m.Models.Token_ring.defs, m.Models.Token_ring.network)
-    | "leader" ->
-      let m = Models.Leader.make ~n in
-      (m.Models.Leader.defs, m.Models.Leader.network)
-    | "workers" ->
-      let m = Models.Workers.make ~n in
-      (m.Models.Workers.defs, m.Models.Workers.network)
-    | other -> failwith ("p16: no concrete instance for " ^ other)
-  in
-  let cases =
-    if smoke then
-      [ ("token-ring", [ 2; 4; 8 ]); ("leader", [ 2; 3 ]);
-        ("workers", [ 2; 4; 8 ]) ]
-    else
-      [ ("token-ring", [ 2; 4; 8; 16 ]); ("leader", [ 2; 4; 6 ]);
-        ("workers", [ 2; 4; 8; 16 ]) ]
-  in
-  let sound_depth = 3 in
-  let rows =
-    List.concat_map
-      (fun (name, sizes) ->
-        let fam =
-          match Abstraction.Family.find name with
-          | Some f -> f
-          | None -> failwith ("p16: no family preset " ^ name)
-        in
-        List.map
-          (fun n ->
-            let defs, network = concrete name ~n in
-            let concrete_ms, lts =
-              time_ms (fun () ->
-                  let eng = Engine.create ~nat_bound:2 defs in
-                  let compiled = Engine.compile ~budget:200_000 eng network in
-                  Lts.explore ~max_states:200_000 ~compiled
-                    (Engine.step_config eng) network)
-            in
-            let abstract_ms, r =
-              time_ms (fun () ->
-                  Abstraction.Counter.explore
-                    fam.Abstraction.Family.fam ~n)
-            in
-            (* the inclusion that makes the quotient a sound verdict
-               carrier: α(concrete traces) ⊆ traces(abstract) *)
-            let cfg =
-              Step.config ~sampler:(Sampler.nat_bound 2) defs
-            in
-            let traces =
-              Closure.to_traces (Step.traces cfg ~depth:sound_depth network)
-            in
-            let sound =
-              List.for_all
-                (fun tr ->
-                  Abstraction.Counter.accepts r.Abstraction.Counter.lts
-                    (Abstraction.Family.abstract_trace fam tr))
-                traces
-            in
-            {
-              p16_family = name;
-              p16_n = n;
-              p16_concrete_states = Lts.num_states lts;
-              p16_concrete_complete = lts.Lts.complete;
-              p16_concrete_ms = concrete_ms;
-              p16_abstract_states = r.Abstraction.Counter.quotient_states;
-              p16_collapses = r.Abstraction.Counter.omega_collapses;
-              p16_abstract_ms = abstract_ms;
-              p16_sound = sound;
-            })
-          sizes)
-      cases
-  in
-  result "  %-12s %4s %10s %10s %9s %12s %8s\n" "family" "n" "concrete"
-    "abstract" "collapse" "sound" "abs(ms)";
-  List.iter
-    (fun r ->
-      result "  %-12s %4d %9d%s %10d %9d %12s %8.2f\n" r.p16_family r.p16_n
-        r.p16_concrete_states
-        (if r.p16_concrete_complete then "" else "+")
-        r.p16_abstract_states r.p16_collapses (ok r.p16_sound)
-        r.p16_abstract_ms)
-    rows;
-  (* one run certifying the ring for every n up to 32 *)
-  let fam =
-    match Abstraction.Family.find "token-ring" with
-    | Some f -> f
-    | None -> failwith "p16: no token-ring preset"
-  in
-  let check_formula = "n<=32" in
-  let formula =
-    match Abstraction.Formula.of_string check_formula with
-    | Ok f -> f
-    | Error m -> failwith ("p16: " ^ m)
-  in
-  let check_ms, outcome =
-    time_ms (fun () ->
-        Abstraction.Family.check_family ~depth:(if smoke then 6 else 8) fam
-          ~formula)
-  in
-  let check_classes, check_certified =
-    match outcome with
-    | Ok o ->
-      (List.length o.Abstraction.Family.classes,
-       o.Abstraction.Family.certified)
-    | Error m -> failwith ("p16: family check: " ^ m)
-  in
-  result "  ring for all %s: %d class(es), certified %s in %.1f ms\n"
-    check_formula check_classes (ok check_certified) check_ms;
   write_p16_json "BENCH_abstraction.json" rows ~check_model:"token-ring"
-    ~check_formula ~check_classes ~check_certified ~check_ms;
+    ~check_formula ~check_classes ~check_certified ~check_ms ~counters;
   result "  wrote BENCH_abstraction.json\n"
 
 (* ---------------------------------------------------------------------- *)

@@ -212,18 +212,16 @@ let cmd_check_cert path cert_path telemetry =
 
 (* ---- deadlock ------------------------------------------------------- *)
 
-let cmd_deadlock path name steps runs nat_bound seed use_compiled telemetry =
+let cmd_deadlock path name steps runs nat_bound seed telemetry =
   with_telemetry "deadlock" telemetry @@ fun () ->
   let ctx = load path in
   let p = find_process ctx name in
   let eng = engine ~seed ctx ~nat_bound in
-  let compiled =
-    if use_compiled then Some (Engine.compile ~budget:steps eng p) else None
-  in
+  let compiled = Engine.compile ~budget:steps eng p in
   let deadlocks = ref 0 in
   for i = 0 to runs - 1 do
     let r =
-      Csp_sim.Runner.run_engine ~seed:(seed + i) ~max_steps:steps ?compiled eng
+      Csp_sim.Runner.run_engine ~seed:(seed + i) ~max_steps:steps ~compiled eng
         p
     in
     if r.Csp_sim.Runner.stop = Csp_sim.Runner.Deadlock then incr deadlocks
@@ -237,8 +235,8 @@ let cmd_deadlock path name steps runs nat_bound seed use_compiled telemetry =
    preset family at instance size [--size] instead of a concrete file.
    With [-o], the DOT text (from its "digraph" line on) goes to the
    file and the status lines stay on stdout. *)
-let cmd_graph path name max_states nat_bound output jobs use_compiled abstract
-    model fam_n telemetry =
+let cmd_graph path name max_states nat_bound output jobs abstract model fam_n
+    telemetry =
   with_telemetry "graph" telemetry @@ fun () ->
   let o =
     match abstract with
@@ -256,7 +254,7 @@ let cmd_graph path name max_states nat_bound output jobs use_compiled abstract
         | None -> die "--process is required unless --abstract is given"
       in
       Jobs.graph (load ~domains:jobs path) ~process ~max_states ~nat_bound
-        ~compiled:use_compiled
+        ~compiled:true
   in
   let o = ok_or_die o in
   match output with
@@ -293,12 +291,12 @@ let cmd_refusals path name depth nat_bound telemetry =
 
 (* ---- refine ------------------------------------------------------------ *)
 
-let cmd_refine path impl spec depth nat_bound weak jobs use_compiled telemetry =
+let cmd_refine path impl spec depth nat_bound weak jobs telemetry =
   with_telemetry "refine" telemetry @@ fun () ->
   finish
     (ok_or_die
        (Jobs.refine (load ~domains:jobs path) ~impl ~spec ~depth ~nat_bound
-          ~weak ~compiled:use_compiled))
+          ~weak))
 
 (* ---- infer ------------------------------------------------------------ *)
 
@@ -466,23 +464,6 @@ let jobs_arg =
         ~doc:"Worker domains for parallel exploration/fuzzing (results are \
               identical to -j 1; only wall-clock changes)")
 
-let compiled_arg =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "compiled" ]
-              ~doc:"Compile the process into flat successor tables before \
-                    exploring/running (default).  Trace refinement \
-                    (refine without --weak) is closure-based and ignores \
-                    this flag." );
-          ( false,
-            info [ "no-compiled" ]
-              ~doc:"Force the tree-walking interpreter; results are \
-                    byte-identical, only slower." );
-        ])
-
 (* One shared telemetry term, appended to every subcommand. *)
 let telemetry_arg =
   let stats =
@@ -620,7 +601,7 @@ let graph_cmd =
              with --abstract counter, graph a family's abstract quotient")
     Term.(
       const cmd_graph $ opt_path_arg $ opt_name $ max_states $ nat_arg $ out
-      $ jobs_arg $ compiled_arg $ abstract $ model_arg $ fam_n
+      $ jobs_arg $ abstract $ model_arg $ fam_n
       $ telemetry_arg)
 
 let refusals_cmd =
@@ -652,7 +633,7 @@ let refine_cmd =
              bisimilar to it)")
     Term.(
       const cmd_refine $ path_arg $ name_arg $ spec $ depth_arg 5 $ nat_arg
-      $ weak $ jobs_arg $ compiled_arg $ telemetry_arg)
+      $ weak $ jobs_arg $ telemetry_arg)
 
 let infer_cmd =
   Cmd.v
@@ -729,7 +710,7 @@ let deadlock_cmd =
              correctness cannot rule them out — §4)")
     Term.(
       const cmd_deadlock $ path_arg $ name_arg $ steps_arg $ runs_arg
-      $ nat_arg $ seed_arg $ compiled_arg $ telemetry_arg)
+      $ nat_arg $ seed_arg $ telemetry_arg)
 
 let socket_arg =
   Arg.(

@@ -293,13 +293,28 @@ let snapshot () =
 
 (* Concurrent delta probes would attribute one job's counter movement
    to another, so probes serialise on one mutex: each diff is exact.
-   Counters are always live (an increment is one atomic RMW), so the
-   deltas are meaningful even while telemetry is disabled. *)
+   A probe nested in another on the same domain (a bench leg around a
+   coverage-guided campaign) already runs inside the outer one's
+   critical section and does not lock again.  Counters are always live
+   (an increment is one atomic RMW), so the deltas are meaningful even
+   while telemetry is disabled. *)
 let delta_mutex = Mutex.create ()
+let delta_owner = Atomic.make (-1)  (* the domain holding [delta_mutex] *)
 
 let delta_snapshot f =
-  Mutex.lock delta_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock delta_mutex) @@ fun () ->
+  let me = (Domain.self () :> int) in
+  let outer = Atomic.get delta_owner <> me in
+  if outer then begin
+    Mutex.lock delta_mutex;
+    Atomic.set delta_owner me
+  end;
+  Fun.protect
+    ~finally:(fun () ->
+      if outer then begin
+        Atomic.set delta_owner (-1);
+        Mutex.unlock delta_mutex
+      end)
+  @@ fun () ->
   let before = snapshot () in
   let x = f () in
   let tbl = Hashtbl.create 64 in

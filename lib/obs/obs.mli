@@ -138,7 +138,8 @@ val delta_snapshot : (unit -> 'a) -> 'a * (string * int) list
     Serialised by a mutex so concurrent probes cannot attribute one
     job's counter movement to another — this is how the coverage map
     and the [cspc serve] per-request statistics isolate one job's
-    telemetry without {!reset}.  Counters are live even while
+    telemetry without {!reset}.  Probes nest on one domain: an inner
+    probe's deltas are also counted by the outer one.  Counters are live even while
     telemetry is disabled, so the deltas do not require
     {!set_enabled}. *)
 

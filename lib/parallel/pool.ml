@@ -9,8 +9,8 @@
 
 module Obs = Csp_obs.Obs
 
-(* Global counters (aggregated by [Engine.stats]).  [Atomic]: tasks
-   complete on arbitrary domains. *)
+(* Global counters, exported through the [pool] snapshot source.
+   [Atomic]: tasks complete on arbitrary domains. *)
 let pools_created = Atomic.make 0
 let workers_spawned = Atomic.make 0
 let batches_run = Atomic.make 0
@@ -61,7 +61,7 @@ let stats () =
   }
 
 (* Telemetry: the registry snapshot exposes the same counters, so
-   `--stats-json` sees the pool without going through [Engine.stats]. *)
+   `--stats-json` sees the pool. *)
 let () =
   Obs.register_source "pool" (fun () ->
       let s = stats () in
@@ -81,12 +81,14 @@ let () =
 
 (* Subsystems with domain-local cache overlays (e.g. the closure
    kernel's memo arenas) register an [enter]/[exit] pair here.  The
-   pool brackets every multi-domain parallel phase — a fork-join batch
-   or a work-stealing session — with them: [enter] runs on the
-   submitting domain before any worker touches a task, [exit] after
-   every worker is quiescent again.  Single-domain pools and
-   single-task batches run no hooks (there is no concurrency to
-   protect against). *)
+   pool brackets every multi-domain fork-join batch with them: [enter]
+   runs on the submitting domain before any worker touches a task,
+   [exit] after every worker is quiescent again.  Single-domain pools
+   and single-task batches run no hooks (there is no concurrency to
+   protect against).  Work-stealing sessions open no phase: a session
+   may stay open for a server's whole life, and a phase that never
+   closes would never flush what it memoised; code running inside a
+   session takes the overlays' shared, locked path instead. *)
 let phase_hooks : ((unit -> unit) * (unit -> unit)) list ref = ref []
 let phase_hooks_lock = Mutex.create ()
 
@@ -360,27 +362,6 @@ let parallel_map t f xs =
     Array.map (function Some y -> y | None -> assert false) out
   end
 
-let map_chunks t ?chunk_size f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let chunk =
-      match chunk_size with
-      | Some c when c > 0 -> c
-      | Some _ | None -> max 1 (n / (4 * t.n))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    let out = Array.make nchunks None in
-    exec_batch t nchunks (fun c ->
-        let lo = c * chunk in
-        let len = min chunk (n - lo) in
-        out.(c) <- Some (f (Array.sub xs lo len)));
-    Array.map (function Some y -> y | None -> assert false) out
-  end
-
-let run t thunks =
-  Array.to_list (parallel_map t (fun f -> f ()) (Array.of_list thunks))
-
 (* ---- asynchronous batches (internal) --------------------------------- *)
 
 (* Like the multi-domain branch of [exec_batch], but the submitting
@@ -545,10 +526,8 @@ let stealing_start t f =
       closed = false;
     }
   in
-  if t.n > 1 then begin
-    enter_phase ();
-    s.st_async <- Some (submit_async t (t.n - 1) (fun i -> st_drive s ~worker:i))
-  end;
+  if t.n > 1 then
+    s.st_async <- Some (submit_async t (t.n - 1) (fun i -> st_drive s ~worker:i));
   s
 
 let stealing_push s x =
@@ -563,10 +542,9 @@ let stealing_stop s =
     (match s.st_async with
     | None -> ()
     | Some a ->
-      let failures =
-        Fun.protect ~finally:exit_phase (fun () -> await_async s.st_pool a)
-      in
       (* driver-machinery failures only: the worker function's own
          exceptions are swallowed above *)
-      Array.iter (function Some e -> raise e | None -> ()) failures)
+      Array.iter
+        (function Some e -> raise e | None -> ())
+        (await_async s.st_pool a))
   end

@@ -8,10 +8,10 @@
     1-domain pool a zero-cost way to share one code path between the
     sequential and parallel engines.
 
-    Batches are fork-join barriers: a call to {!parallel_map} (or
-    {!map_chunks}, {!run}) returns only once every task of the batch
-    has finished, and results are delivered in input order regardless
-    of which domain executed which task.  Tasks of one batch are
+    Batches are fork-join barriers: a call to {!parallel_map} returns
+    only once every task of the batch has finished, and results are
+    delivered in input order regardless of which domain executed which
+    task.  Tasks of one batch are
     claimed dynamically (an atomic cursor over the task array), so
     uneven task costs balance themselves; there is no preemption or
     work stealing between batches.
@@ -52,27 +52,19 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     raises, the batch still runs to completion and the exception of
     the lowest-indexed failing task is re-raised in the caller. *)
 
-val map_chunks : t -> ?chunk_size:int -> ('a array -> 'b) -> 'a array -> 'b array
-(** Chunked fork-join: split [xs] into contiguous chunks of at most
-    [chunk_size] elements (default: [length / (4 * domains)], at least
-    1), apply [f] to each chunk as one task, and return the per-chunk
-    results in chunk order.  Use when per-element work is small or when
-    each task wants chunk-local state (e.g. a domain-local cache view
-    merged at the join). *)
-
-val run : t -> (unit -> 'a) list -> 'a list
-(** Fork-join over explicit thunks, results in input order. *)
-
 (** {1 Parallel-phase hooks}
 
     Subsystems with domain-local cache overlays (e.g. the closure
     kernel's memo arenas) register an [enter]/[exit] pair; the pool
-    brackets every multi-domain parallel phase with them.  [enter]
+    brackets every multi-domain fork-join batch with them.  [enter]
     runs on the submitting domain before any worker touches a task;
-    [exit] runs after every worker of the phase is quiescent (so the
+    [exit] runs after every worker of the batch is quiescent (so the
     exit hook may merge domain-local state without further
     synchronisation).  Phases never nest; single-domain pools and
-    single-task batches run no hooks. *)
+    single-task batches run no hooks.  Work-stealing sessions open no
+    phase — a session can outlive any number of requests (the
+    [cspc serve] dispatcher keeps one open until shutdown), so work
+    inside it uses the overlays' shared, locked path. *)
 
 val register_phase_hooks : enter:(unit -> unit) -> exit:(unit -> unit) -> unit
 
@@ -116,8 +108,9 @@ end
     pusher).
 
     While a session is open the pool must not run batches
-    ({!parallel_map} and friends) — the spawned workers are occupied
-    by the session's driver loops.  The caller coordinates from its
+    ({!parallel_map}) — the spawned workers are occupied by the
+    session's driver loops.  A session is not a parallel phase: no
+    phase hooks run for it.  The caller coordinates from its
     own domain and closes the session with {!stealing_stop}. *)
 
 type 'a stealing
@@ -143,7 +136,7 @@ val stealing_stop : 'a stealing -> unit
 (** {1 Statistics}
 
     Global counters, summed over every pool since program start;
-    aggregated into [Engine.stats]. *)
+    exported as the [pool.*] snapshot keys. *)
 
 type stats = {
   pools : int;        (** pools created *)

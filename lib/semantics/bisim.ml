@@ -100,7 +100,6 @@ let classes_of (t : Lts.t) : partition =
 let num_classes (p : partition) =
   Array.fold_left (fun acc c -> max acc (c + 1)) 0 p
 
-let class_of (p : partition) s = p.(s)
 
 (* (source, label, target) dedup keys for quotient and saturation. *)
 module Edge_tbl = Hashtbl.Make (struct

@@ -18,7 +18,6 @@ val classes_of : Lts.t -> partition
     labelled graph, not weak bisimulation). *)
 
 val num_classes : partition -> int
-val class_of : partition -> Lts.state -> int
 
 val quotient : Lts.t -> partition -> Lts.t
 (** The minimised system: one state per class, transitions

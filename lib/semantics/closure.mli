@@ -111,14 +111,15 @@ type stats = {
 
 val stats : unit -> stats
 (** Global counters: nodes interned, compute-table hits/misses, lock
-    contention, shard occupancy — for the bench's memoisation hit-rate
-    report and the engine's parallel statistics.
+    contention, shard occupancy — exported as the [closure.*] snapshot
+    keys.
 
     The unique table is sharded by hash with one mutex per shard.
-    During a pool parallel phase (see [Pool.register_phase_hooks]) the
-    compute tables are frozen read-only and each domain accumulates
-    fresh results in a private arena, flushed add-if-absent at the
-    join — so [memo_hits]/[memo_misses] may lag by one phase. *)
+    During a pool parallel phase — a multi-domain fork-join batch, see
+    [Pool.register_phase_hooks] — the compute tables are frozen
+    read-only and each domain accumulates fresh results in a private
+    arena, flushed add-if-absent at the join — so
+    [memo_hits]/[memo_misses] may lag by one phase. *)
 
 val clear_caches : unit -> unit
 (** Drop the compute tables (unique table entries become collectable

@@ -124,10 +124,13 @@ let append_row t s ts =
       t.pk_len <- k + 1)
     ts
 
+let count_fallback t =
+  t.n_fallbacks <- t.n_fallbacks + 1;
+  Obs.Counter.incr fallback_rows
+
 let materialise t s =
   if t.row_off.(s) < 0 then begin
-    t.n_fallbacks <- t.n_fallbacks + 1;
-    Obs.Counter.incr fallback_rows;
+    count_fallback t;
     append_row t s (Step.transitions_i t.cfg t.nodes.(s))
   end
 
@@ -154,34 +157,6 @@ let create cfg (root : Proc.t) =
   ignore (intern_state t root);
   t
 
-let compile ?(budget = 200_000) cfg p =
-  Obs.Counter.incr compiles;
-  Obs.span ~cat:"compiled" "compile"
-    ~args:(fun () -> [ ("budget", Obs.Int budget) ])
-  @@ fun () ->
-  let t0 = Obs.now_ns () in
-  let t = create cfg (Proc.intern p) in
-  (* FIFO over fresh states = BFS discovery order, the same order
-     [Lts.explore] assigns its state numbers in; states dequeued past
-     the budget keep their ids but stay unmaterialised. *)
-  let queue = Queue.create () in
-  Queue.add 0 queue;
-  let materialised = ref 0 in
-  while (not (Queue.is_empty queue)) && !materialised < budget do
-    let s = Queue.pop queue in
-    let before = t.n_states in
-    append_row t s (Step.transitions_i cfg t.nodes.(s));
-    incr materialised;
-    for s' = before to t.n_states - 1 do
-      Queue.add s' queue
-    done
-  done;
-  let ms = (Obs.now_ns () -. t0) /. 1e6 in
-  t.ms <- ms;
-  Obs.Gauge.set compile_ms_gauge ms;
-  Obs.Timer.observe_ns compile_timer (ms *. 1e6);
-  t
-
 let row_transitions t s =
   let off = t.row_off.(s) in
   List.init t.row_len.(s) (fun i ->
@@ -198,7 +173,105 @@ let transitions_i t q =
     materialise t s;
     row_transitions t s
 
-(* ---- exploration on the flat tables ---------------------------------- *)
+(* ---- the exploration loop -------------------------------------------- *)
+
+(* The one exploration loop: a FIFO walk from the root in BFS discovery
+   order that numbers states [0, 1, ...] as it first meets them (the
+   "query numbers" of the result) and appends every missing row as it
+   reaches it.  [edge i k j] sees each recorded transition: source and
+   target query numbers and the packed slot [k].  Numbering,
+   transition order and truncation replay [Lts.explore]'s interpreted
+   loop exactly — transitions in row = derivation order, numbering
+   stops at [max_states] mid-row just as the interpreter does.
+
+   The FIFO is [order] itself (query number -> state id, filled in
+   discovery order) and [visited] is its inverse; both are dense int
+   arrays.  Row ids and query numbers differ only when rows were
+   materialised out of BFS order (a runner walk between compile and
+   explore), which is why the walk keeps its own numbering.
+
+   Missing rows are derived inline, or — on a multi-domain [pool] —
+   through a speculative {!Frontier} session opened at the first
+   missing row: workers race ahead over the interned nodes (never the
+   CSR arrays, which only this coordinator grows) and the coordinator
+   consumes their results.  Replaying complete tables opens no
+   session.  [fallback] counts the appended rows as lazy
+   materialisations (every walk but the building one). *)
+let walk ~max_states ?pool ~fallback ~edge t =
+  let fs = ref None in
+  let derive q =
+    match pool with
+    | Some pool when Pool.domains pool > 1 ->
+      let s =
+        match !fs with
+        | Some s -> s
+        | None ->
+          let s = Frontier.start ~pool ~cap:max_states t.cfg in
+          fs := Some s;
+          s
+      in
+      Frontier.get s q
+    | _ -> Step.transitions_i t.cfg q
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Frontier.stop !fs) @@ fun () ->
+  let visited = ref (Array.make (max 64 t.n_states) (-1)) in
+  let order = ref (Array.make 64 0) in
+  let n_q = ref 0 in
+  let qintern s =
+    let i = !n_q in
+    (!visited).(s) <- i;
+    if i >= Array.length !order then order := grow_int !order (i + 1) 0;
+    (!order).(i) <- s;
+    n_q := i + 1;
+    i
+  in
+  let complete = ref true in
+  let truncated_ids = ref [] in
+  ignore (qintern 0);
+  let i = ref 0 in
+  while !i < !n_q do
+    let s = (!order).(!i) in
+    if t.row_off.(s) < 0 then begin
+      if fallback then count_fallback t;
+      append_row t s (derive t.nodes.(s))
+    end;
+    if t.n_states > Array.length !visited then
+      visited := grow_int !visited t.n_states (-1);
+    let v = !visited in
+    let dropped = ref false in
+    let off = t.row_off.(s) in
+    for k = off to off + t.row_len.(s) - 1 do
+      let s' = t.pk_target.(k) in
+      if v.(s') >= 0 then edge !i k v.(s')
+      else if !n_q < max_states then edge !i k (qintern s')
+      else begin
+        (* the target is cut at the bound: the source keeps an
+           unrecorded way out and must not read as a deadlock *)
+        complete := false;
+        dropped := true
+      end
+    done;
+    if !dropped then truncated_ids := !i :: !truncated_ids;
+    incr i
+  done;
+  (!n_q, !order, !complete, !truncated_ids)
+
+let compile ?(budget = 200_000) ?pool cfg p =
+  Obs.Counter.incr compiles;
+  Obs.span ~cat:"compiled" "compile"
+    ~args:(fun () -> [ ("budget", Obs.Int budget) ])
+  @@ fun () ->
+  let t0 = Obs.now_ns () in
+  let t = create cfg (Proc.intern p) in
+  (* the building walk: the first [budget] states in discovery order
+     get rows, their targets get ids; it records no transitions *)
+  ignore
+    (walk ~max_states:budget ?pool ~fallback:false ~edge:(fun _ _ _ -> ()) t);
+  let ms = (Obs.now_ns () -. t0) /. 1e6 in
+  t.ms <- ms;
+  Obs.Gauge.set compile_ms_gauge ms;
+  Obs.Timer.observe_ns compile_timer (ms *. 1e6);
+  t
 
 type raw = {
   raw_initial : int;
@@ -212,107 +285,19 @@ let explore_raw ?(max_states = 2000) ?pool t =
   Obs.span ~cat:"explore" "explore-compiled"
     ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
   @@ fun () ->
-  (* A multi-domain pool runs a speculative {!Frontier} session over
-     the *interned nodes* (never the CSR arrays — those are
-     single-writer and grown only by this coordinator): workers race
-     ahead deriving the transition lists of states past the compile
-     budget, the coordinator consumes them when it appends rows.
-     States inside the budget have rows already; speculation on them
-     costs only shared-cache hits. *)
-  let fs =
-    match pool with
-    | Some pool when Pool.domains pool > 1 ->
-      Some (Frontier.start ~pool ~cap:max_states t.cfg)
-    | _ -> None
-  in
-  let row_of s =
-    if t.row_off.(s) < 0 then begin
-      t.n_fallbacks <- t.n_fallbacks + 1;
-      Obs.Counter.incr fallback_rows;
-      let ts =
-        match fs with
-        | Some fs -> Frontier.get fs t.nodes.(s)
-        | None -> Step.transitions_i t.cfg t.nodes.(s)
-      in
-      append_row t s ts
-    end
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Frontier.stop fs)
-  @@ fun () ->
-  Option.iter (fun fs -> Frontier.prefetch fs t.nodes.(0)) fs;
-  (* Dense visited set: state id -> query number, -1 = unseen.  This
-     replaces the per-exploration hashtable of the interpreted path.
-     The FIFO dequeues states in BFS discovery order — exactly the
-     order the historical layer loop processed them — so the query
-     numbering replays [Lts.explore]'s exactly (transitions in row =
-     derivation order, interning stops at [max_states] mid-row just as
-     the interpreter does). *)
-  let visited = ref (Array.make (max 64 t.n_states) (-1)) in
-  let ensure_visited () =
-    if t.n_states > Array.length !visited then
-      visited := grow_int !visited t.n_states (-1)
-  in
-  let order = ref (Array.make 64 0) in
-  let n_q = ref 0 in
-  let qintern s =
-    let i = !n_q in
-    (!visited).(s) <- i;
-    if i >= Array.length !order then order := grow_int !order (i + 1) 0;
-    (!order).(i) <- s;
-    incr n_q;
-    i
-  in
   let transitions = ref [] in
-  let complete = ref true in
-  let truncated_ids = ref [] in
-  let initial = qintern 0 in
-  let queue = Queue.create () in
-  Queue.add 0 queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    row_of s;
-    ensure_visited ();
-    let v = !visited in
-    let i = v.(s) in
-    let dropped = ref false in
-    let off = t.row_off.(s) in
-    for k = off to off + t.row_len.(s) - 1 do
-      let s' = t.pk_target.(k) in
-      let e = t.events.(t.pk_event.(k)) in
-      let visible = Bytes.get t.pk_visible k <> '\000' in
-      if !n_q >= max_states then begin
-        (* record the transition only if the target is already
-           numbered; otherwise the source keeps an unrecorded way
-           out and must not read as a deadlock *)
-        let j = v.(s') in
-        if j >= 0 then transitions := (i, e, visible, j) :: !transitions
-        else begin
-          complete := false;
-          dropped := true
-        end
-      end
-      else begin
-        let j = if v.(s') >= 0 then v.(s') else -1 in
-        let j =
-          if j >= 0 then j
-          else begin
-            let j = qintern s' in
-            Queue.add s' queue;
-            j
-          end
-        in
-        transitions := (i, e, visible, j) :: !transitions
-      end
-    done;
-    if !dropped then truncated_ids := i :: !truncated_ids
-  done;
-  let truncated = Array.make !n_q false in
-  List.iter (fun i -> truncated.(i) <- true) !truncated_ids;
+  let n_q, order, complete, truncated_ids =
+    walk ~max_states ?pool ~fallback:true t ~edge:(fun i k j ->
+        transitions :=
+          (i, t.events.(t.pk_event.(k)), Bytes.get t.pk_visible k <> '\000', j)
+          :: !transitions)
+  in
+  let truncated = Array.make n_q false in
+  List.iter (fun i -> truncated.(i) <- true) truncated_ids;
   {
-    raw_initial = initial;
-    raw_states = Array.init !n_q (fun i -> t.nodes.((!order).(i)));
+    raw_initial = 0;
+    raw_states = Array.init n_q (fun i -> t.nodes.(order.(i)));
     raw_transitions = List.rev !transitions;
-    raw_complete = !complete;
+    raw_complete = complete;
     raw_truncated = truncated;
   }

@@ -2,48 +2,58 @@
 
     Every other pipeline *interprets* the interned Proc IR per
     transition: each successor query is a hashtable probe of
-    [Step.config.trans_cache] keyed by node id, and each LTS layer
-    re-canonicalises its targets through the global unique table.  A
-    {!t} compiles the reachable state space once — the analogue of
-    SPIN generating a dedicated [pan] verifier from a model — into a
-    CSR-style flat representation:
+    [Step.config.trans_cache] keyed by node id.  A {!t} holds the
+    reachable state space in flat form — the analogue of SPIN
+    generating a dedicated [pan] verifier from a model — as a
+    CSR-style representation:
 
-    - dense [int] state ids assigned by a compile-time intern pass in
-      BFS discovery order (so they coincide with {!Lts.explore}'s
-      state numbering);
-    - per-state successor rows packed into preallocated int arrays:
+    - dense [int] state ids assigned in BFS discovery order (so they
+      coincide with {!Lts.explore}'s state numbering);
+    - per-state successor rows packed into growable int arrays:
       [row_off]/[row_len] index a shared pool of
       [(event_id, target_id)] pairs plus a visibility byte;
     - an event table mapping dense event ids back to events.
 
-    Exploration then becomes array walks with a dense int visited
-    array instead of per-layer hashtables — see [Lts.explore]'s
-    [?compiled] argument, which is byte-identical (state numbering,
-    transition order, truncation, DOT) to the interpreted path at any
-    domain count.
+    There is one exploration loop ({!explore_raw}'s): a FIFO walk with
+    a dense visited array that appends each missing row as it reaches
+    it.  {!compile} is that walk's first run over an empty automaton,
+    recording no transitions; every later walk replays the tables
+    ({!Lts.explore}'s [?compiled] argument), byte-identical to the
+    interpreter (state numbering, transition order, truncation, DOT)
+    at any domain count.  On a multi-domain pool a walk derives its
+    missing rows through a speculative {!Frontier} session, opened at
+    the first missing row — so a replay of complete tables starts no
+    speculation.
 
     {b Fallback contract}: states beyond the compile [budget] (or
-    reached only under a larger [max_states] than the compile saw) are
-    materialised lazily back through the interpreter
-    ({!Step.transitions_i}, or domain-local {!Step.view}s on the
-    parallel path) the first time they are expanded; the
-    [compiled.fallbacks] counter counts such rows.  Since rows are
-    derived by the same [Step] functions the interpreter uses —
-    sharing its [trans_cache] — one compile also warms the caches
+    reached only under a larger [max_states] than the compile saw) get
+    their rows from the interpreter ({!Step.transitions_i}, or the
+    frontier) the first time a later walk or {!transitions_i} reaches
+    them; the [compiled.fallbacks] counter counts such rows.  Since
+    rows are derived by the same [Step] functions the interpreter uses
+    — sharing its [trans_cache] — one compile also warms the caches
     every later query through the same configuration reuses
     ([Sat.check_engine], [Infer], [Runner]).
 
     A [t] is mutable (lazy materialisation) and must not be shared
-    between domains; the internal [?pool] path coordinates its own
-    parallelism and merges results deterministically. *)
+    between domains; a walk's [?pool] speculation reads interned nodes
+    only and never touches the tables. *)
 
 type t
 
-val compile : ?budget:int -> Step.config -> Csp_lang.Process.t -> t
-(** One-shot compile: BFS from the root, materialising successor rows
-    for up to [budget] states (default [200_000]).  Discovered targets
-    beyond the budget get ids but no rows (materialised lazily on
-    demand).  Telemetry: [compiled.compiles], [compiled.states],
+val compile :
+  ?budget:int ->
+  ?pool:Csp_parallel.Pool.t ->
+  Step.config ->
+  Csp_lang.Process.t ->
+  t
+(** The building walk: the exploration loop over an empty automaton
+    with [max_states = budget] (default [200_000]), so the first
+    [budget] states in discovery order (at least the root) get rows
+    and every target of those rows gets an id (rows beyond are
+    materialised lazily on demand).  A multi-domain [pool] derives the rows through a
+    {!Frontier} session; the tables are identical at any domain
+    count.  Telemetry: [compiled.compiles], [compiled.states],
     [compiled.compile_ms] and a ["compile"] span. *)
 
 val root : t -> Csp_lang.Proc.t
@@ -68,7 +78,7 @@ val fallbacks : t -> int
 (** Rows materialised lazily after {!compile} returned. *)
 
 val compile_ms : t -> float
-(** Wall-clock of the {!compile} pass, in milliseconds. *)
+(** Wall-clock of the building walk, in milliseconds. *)
 
 val transitions_i :
   t ->
@@ -94,8 +104,8 @@ type raw = {
 }
 
 val explore_raw : ?max_states:int -> ?pool:Csp_parallel.Pool.t -> t -> raw
-(** Replay of the {!Lts.explore} loop on the flat tables: FIFO layer
-    order, dense visited array, identical truncation bookkeeping.
-    With a multi-domain [pool], only lazy row materialisation is
-    parallelised (rows are appended in frontier order at the barrier),
-    so the result is identical at any domain count. *)
+(** The exploration loop, recording: FIFO in BFS discovery order,
+    dense visited array, the interpreter's truncation bookkeeping.
+    Missing rows are appended as fallbacks — through a {!Frontier}
+    session on a multi-domain [pool], opened only if a row is
+    missing — so the result is identical at any domain count. *)

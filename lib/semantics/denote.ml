@@ -53,8 +53,9 @@ let config ?(sampler = Sampler.default) ?(hide_extra = 8) defs =
     generation = 0;
   }
 
-(* Cache counters, aggregated by [Engine.stats].  Atomic: sharded
-   fuzzing evaluates denotations on several domains concurrently. *)
+(* Cache counters, exported as the [denote.*] snapshot keys.  Atomic:
+   sharded fuzzing evaluates denotations on several domains
+   concurrently. *)
 let eval_hits = Atomic.make 0
 let eval_misses = Atomic.make 0
 
@@ -62,10 +63,6 @@ type stats = { eval_hits : int; eval_misses : int }
 
 let stats () =
   { eval_hits = Atomic.get eval_hits; eval_misses = Atomic.get eval_misses }
-
-let reset_stats () =
-  Atomic.set eval_hits 0;
-  Atomic.set eval_misses 0
 
 let () =
   Obs.register_source "denote" (fun () ->

@@ -62,7 +62,5 @@ val approximations :
 type stats = { eval_hits : int; eval_misses : int }
 
 val stats : unit -> stats
-(** Global [eval_memo] counters since program start (or the last
-    {!reset_stats}), summed over every configuration. *)
-
-val reset_stats : unit -> unit
+(** Global [eval_memo] counters since program start, summed over every
+    configuration. *)

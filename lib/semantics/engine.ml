@@ -72,7 +72,8 @@ let with_depth t depth = { t with depth }
 let with_seed t seed = { t with seed }
 
 (* One compile serves every later query through this engine (and its
-   [with_depth]/[with_seed] copies, which share the table): the cache
+   [with_depth]/[with_seed] copies, which share the table); on a
+   multi-domain engine its building walk runs on the pool.  The cache
    is keyed by the interned root's id — ids are never reused, and the
    cached automaton keeps its root alive, so the key stays valid for
    the automaton's lifetime.  The hit/miss counters let a long-lived
@@ -89,63 +90,13 @@ let compile ?budget t p =
     c
   | None ->
     Obs.Counter.incr compile_misses;
-    let c = Compiled.compile ?budget t.step p in
+    let c = Compiled.compile ?budget ?pool:(pool t) t.step p in
     Hashtbl.add t.compiled (Proc.id root) c;
     c
 
 let compiled_count t = Hashtbl.length t.compiled
-let compiled_mem t p = Hashtbl.mem t.compiled (Proc.id (Proc.intern p))
 
 let with_sampler t sampler =
   create ~depth:t.depth ~seed:t.seed ~domains:t.domains ~sampler
     ~unfold_fuel:t.unfold_fuel ~hide_fuel:t.hide_fuel ~hide_extra:t.hide_extra
     t.defs
-
-type stats = {
-  intern : Proc.stats;
-  closure : Closure.stats;
-  step : Step.stats;
-  denote : Denote.stats;
-  pool : Pool.stats;
-}
-
-let stats () =
-  {
-    intern = Proc.stats ();
-    closure = Closure.stats ();
-    step = Step.stats ();
-    denote = Denote.stats ();
-    pool = Pool.stats ();
-  }
-
-let reset_stats () =
-  Step.reset_stats ();
-  Denote.reset_stats ()
-
-let hit_rate hits misses =
-  let total = hits + misses in
-  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "@[<v>intern: %d nodes, %d live (%d shards, max %d), hit-rate %.2f, \
-     lock-waits %d@,\
-     closure: %d nodes (%d shards, max %d), memo hit-rate %.2f, lock-waits %d@,\
-     step: trans hit-rate %.2f, unfold hit-rate %.2f@,\
-     denote: eval hit-rate %.2f@,\
-     pool: %d pools, %d workers, %d batches, %d tasks (%d on caller), \
-     lock-waits %d@,\
-     steal: %d steals, %d stolen, %d stealing-tasks@]"
-    s.intern.Proc.nodes s.intern.Proc.table_len s.intern.Proc.shards
-    s.intern.Proc.max_shard_len
-    (hit_rate s.intern.Proc.hits s.intern.Proc.misses)
-    s.intern.Proc.lock_waits s.closure.Closure.nodes
-    s.closure.Closure.shards s.closure.Closure.max_shard_len
-    (hit_rate s.closure.Closure.memo_hits s.closure.Closure.memo_misses)
-    s.closure.Closure.lock_waits
-    (hit_rate s.step.Step.trans_hits s.step.Step.trans_misses)
-    (hit_rate s.step.Step.unfold_hits s.step.Step.unfold_misses)
-    (hit_rate s.denote.Denote.eval_hits s.denote.Denote.eval_misses)
-    s.pool.Pool.pools s.pool.Pool.workers s.pool.Pool.batches
-    s.pool.Pool.tasks s.pool.Pool.caller_tasks s.pool.Pool.lock_waits
-    s.pool.Pool.steals s.pool.Pool.stolen s.pool.Pool.stealing_tasks

@@ -84,39 +84,11 @@ val compile : ?budget:int -> t -> Csp_lang.Process.t -> Compiled.t
     {!Lts.explore}/[Runner]/[Sat] query through the same engine.
     [budget] bounds the states materialised eagerly (see
     {!Compiled.compile}); it only takes effect on the compiling
-    call. *)
+    call.  With [domains] > 1 the compile derives its rows on the
+    engine's {!pool}; the automaton is the same at any domain count.
+    Cache traffic is counted under the [engine.compile_hits] /
+    [engine.compile_misses] snapshot keys. *)
 
 val compiled_count : t -> int
 (** Automata in this engine's compile cache (shared with its
     {!with_depth}/{!with_seed} copies). *)
-
-val compiled_mem : t -> Csp_lang.Process.t -> bool
-(** Whether {!compile} on this root would be answered from the cache —
-    how [cspc serve] and its tests observe warm-start state.  The
-    cache hit/miss traffic is also counted under the
-    [engine.compile_hits] / [engine.compile_misses] snapshot keys. *)
-
-(** {1 Statistics} *)
-
-type stats = {
-  intern : Csp_lang.Proc.stats;  (** process interning (unique table) *)
-  closure : Closure.stats;  (** closure kernel nodes and memos *)
-  step : Step.stats;  (** transition / unfolding caches *)
-  denote : Denote.stats;  (** denotational evaluation memo *)
-  pool : Csp_parallel.Pool.stats;
-      (** domain pools: batches, tasks and worker counts — all zero
-          until a parallel query runs *)
-}
-
-val stats : unit -> stats
-(** Aggregated counters across every kernel cache (process interning,
-    closure kernel, operational and denotational memos).  Counters are
-    global: they sum over all engines since program start or the last
-    {!reset_stats}. *)
-
-val reset_stats : unit -> unit
-(** Reset the operational and denotational counters.  The interning and
-    closure-kernel counters are monotone (their tables are global weak
-    structures) and are not reset. *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -7,11 +7,11 @@
    pool workers race ahead of the coordinator over the state graph,
    claiming states from work-stealing deques, deriving their transition
    lists through domain-local {!Step.view}s, and publishing the results
-   in a sharded derived-map.  The coordinator replays the exact
-   sequential BFS, consuming published results where speculation got
-   there first and deriving inline where it did not — so state
-   numbering, transition order and truncation are byte-identical to the
-   sequential exploration by construction, at any domain count.
+   in a sharded derived-map.  The coordinator — {!Compiled}'s
+   exploration walk, appending rows — consumes published results where
+   speculation got there first and derives inline where it did not, so
+   state numbering, transition order and truncation are byte-identical
+   to the sequential exploration by construction, at any domain count.
 
    Shared [Step] caches are frozen for the whole session: every domain
    (the coordinator included) derives through its own view, and all
@@ -128,12 +128,11 @@ let start ~pool ?(cap = max_int) cfg =
   s_ref := Some s;
   s
 
-let prefetch s p = Pool.stealing_push s.steal p
-
 (* Coordinator-side derivation.  On a speculation miss the coordinator
    derives inline through its own view, marks the node claimed (so
-   workers stop wasting time on it) and re-seeds speculation with the
-   successors — without this, one miss would starve the workers of the
+   workers stop wasting time on it) and seeds speculation with the
+   successors — the first [get] of a session starts the workers this
+   way, and without the re-seeding one miss would starve them of the
    whole subtree below it. *)
 let get s (p : Proc.t) =
   let id = Proc.id p in
@@ -148,7 +147,8 @@ let get s (p : Proc.t) =
         if not (Hashtbl.mem sh.claimed id) then Hashtbl.add sh.claimed id ());
     let ts = Step.transitions_view s.views.(Array.length s.views - 1) p in
     List.iter
-      (fun (_, _, q) -> if not (seen s (Proc.id q)) then prefetch s q)
+      (fun (_, _, q) ->
+        if not (seen s (Proc.id q)) then Pool.stealing_push s.steal q)
       ts;
     ts
 

@@ -1,11 +1,11 @@
 (** Speculative derivation on the work-stealing pool.
 
-    A frontier session lets pool workers race ahead of a coordinating
-    exploration, deriving per-state transition lists into a sharded
-    derived-map while the coordinator replays the exact sequential
-    BFS.  Because the transition relation is a pure function of the
-    interned state and the configuration, speculation order is
-    unobservable: the coordinator's results — and therefore state
+    A frontier session lets pool workers race ahead of
+    {!Compiled}'s exploration walk, deriving per-state transition
+    lists into a sharded derived-map while the walk consumes them in
+    its own BFS order.  Because the transition relation is a pure
+    function of the interned state and the configuration, speculation
+    order is unobservable: the walk's rows — and therefore state
     numbering, transition order, truncation and DOT output — are
     byte-identical to the sequential exploration at any domain count.
 
@@ -26,17 +26,14 @@ val start :
     On a 1-domain pool the session is inert: {!get} derives everything
     inline and the coordinator's view still batches cache updates. *)
 
-val prefetch : session -> Csp_lang.Proc.t -> unit
-(** Seed speculation with a state (the coordinator's root, typically).
-    Workers push discovered successors themselves. *)
-
 val get :
   session ->
   Csp_lang.Proc.t ->
   (Csp_trace.Event.t * Step.visibility * Csp_lang.Proc.t) list
 (** The state's transition list: the published speculative result if a
     worker got there first, otherwise derived inline (and the
-    successors re-seeded to speculation).  Either way the value is
+    successors seeded to speculation — the first [get] of a session
+    seeds it).  Either way the value is
     exactly [Step.transitions_i cfg p]. *)
 
 val stop : session -> unit

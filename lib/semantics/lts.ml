@@ -5,11 +5,8 @@ module Proc = Csp_lang.Proc
 module Pool = Csp_parallel.Pool
 module Obs = Csp_obs.Obs
 
-(* Telemetry (observation only — never read back into exploration).
-   Layer spans carry the frontier size and chunk count, so a Chrome
-   trace of an exploration shows the BFS wavefront shrinking and
-   growing; the merge span isolates the sequential cache fold-back at
-   each barrier. *)
+(* Telemetry of the interpreted loop (observation only — never read
+   back into exploration). *)
 let layers_explored = Obs.Counter.make "lts.layers"
 let states_interned = Obs.Counter.make "lts.states"
 
@@ -48,20 +45,23 @@ let make ?truncated ~initial ~states ~transitions ~complete () =
 
 module Int_tbl = Hashtbl.Make (Int)
 
-(* The deterministic exploration core: a FIFO over discovered states.
+(* The interpreted reference loop: a FIFO over discovered states.
    Fresh states enqueue in discovery order, so dequeue order is
-   exactly BFS layer order — this replays the historical
-   layer-synchronous loop state for state: numbering, transition
-   order, truncation at [max_states] and the [complete] flag are all
-   functions of [get] alone.  [get] must return exactly
-   [Step.transitions_i cfg q]; how it is computed (inline, cached, or
-   speculatively by a work-stealing session) is unobservable.
+   exactly BFS layer order: numbering, transition order, truncation at
+   [max_states] and the [complete] flag are functions of the
+   transition relation alone.  {!Compiled}'s walk replays this loop on
+   flat tables, and the compiled-identity tests and the choreo-refine
+   oracle compare the two.
 
    States are hash-consed nodes, so canonicalisation is a lookup on
    the node id — no per-state rehash of a deep term.  The [procs] list
    keeps every numbered node alive, so ids are stable for the whole
    exploration. *)
-let explore_core ~max_states ~get (p : Proc.t) =
+let explore_interpreted ~max_states cfg p =
+  let p = Proc.intern p in
+  Obs.span ~cat:"explore" "explore"
+    ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
+  @@ fun () ->
   let ids : int Int_tbl.t = Int_tbl.create 64 in
   let procs = ref [] and n_states = ref 0 in
   let intern (q : Proc.t) =
@@ -116,7 +116,7 @@ let explore_core ~max_states ~get (p : Proc.t) =
           incr n_transitions;
           if fresh then Queue.add (j, q') queue
         end)
-      (get q);
+      (Step.transitions_i cfg q);
     if !dropped then truncated_ids := i :: !truncated_ids;
     if i + 1 = !layer_end && !n_states > !layer_end then begin
       layer_start := !layer_end;
@@ -133,25 +133,6 @@ let explore_core ~max_states ~get (p : Proc.t) =
     n_transitions = !n_transitions;
     truncated;
   }
-
-let explore_interpreted ~max_states ?pool cfg p =
-  let p = Proc.intern p in
-  Obs.span ~cat:"explore" "explore"
-    ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
-    (fun () ->
-      match pool with
-      | Some pool when Pool.domains pool > 1 ->
-        (* Work-stealing speculation: workers derive transition lists
-           ahead of the coordinator, which replays the sequential BFS
-           consuming their results — byte-identical output, see
-           {!Frontier}. *)
-        let fs = Frontier.start ~pool ~cap:max_states cfg in
-        Fun.protect
-          ~finally:(fun () -> Frontier.stop fs)
-          (fun () ->
-            Frontier.prefetch fs p;
-            explore_core ~max_states ~get:(Frontier.get fs) p)
-      | _ -> explore_core ~max_states ~get:(Step.transitions_i cfg) p)
 
 (* A compiled automaton's raw exploration carries the same fields in
    the same discovery order; packaging it is projection only. *)
@@ -170,10 +151,15 @@ let of_raw (r : Compiled.raw) =
   }
 
 let explore ?(max_states = 2000) ?pool ?compiled cfg p =
-  match compiled with
-  | Some c when Proc.equal (Compiled.root c) (Proc.intern p) ->
+  match compiled, pool with
+  | Some c, _ when Proc.equal (Compiled.root c) (Proc.intern p) ->
     of_raw (Compiled.explore_raw ~max_states ?pool c)
-  | _ -> explore_interpreted ~max_states ?pool cfg p
+  | _, Some pool when Pool.domains pool > 1 ->
+    (* the building walk runs on the pool; the replay is array walks *)
+    of_raw
+      (Compiled.explore_raw ~max_states
+         (Compiled.compile ~budget:max_states ~pool cfg p))
+  | _ -> explore_interpreted ~max_states cfg p
 
 let num_states t = Array.length t.states
 let num_transitions t = t.n_transitions

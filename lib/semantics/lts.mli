@@ -8,13 +8,14 @@
     network diagrams as graphs (Graphviz DOT output, used by
     [cspc graph]).
 
-    Exploration is a FIFO walk in BFS discovery order.  Handing
-    {!explore} a multi-domain {!Csp_parallel.Pool.t} turns the pool's
-    workers into a work-stealing speculation fleet ({!Frontier}): they
-    derive per-state transition lists ahead of the coordinator, which
-    replays the sequential BFS consuming their results — so the
-    resulting system (state numbering, transition list, truncation and
-    DOT output) is byte-identical whatever the domain count. *)
+    Exploration is a FIFO walk in BFS discovery order.  Production
+    exploration runs {!Compiled}'s loop over flat successor tables; on
+    a multi-domain {!Csp_parallel.Pool.t} that loop derives missing
+    rows through a work-stealing speculation fleet.  The
+    interpreted loop stays as the sequential reference: the resulting
+    system (state numbering, transition list, truncation and DOT
+    output) is byte-identical on every path, whatever the domain
+    count. *)
 
 type state = int
 
@@ -63,21 +64,18 @@ val explore :
 (** Breadth-first exploration (default bound: 2000 states).  States are
     identified up to syntactic equality of the process term, so a
     recursive definition that returns to its defining equation yields a
-    finite cyclic graph.  With a multi-domain [pool], workers
-    speculatively derive transition lists through a work-stealing
-    frontier while the coordinator replays the sequential BFS; the
-    result is byte-identical to the sequential exploration (see the
-    module description).
+    finite cyclic graph.
 
     When [compiled] is an automaton for the same root process (see
-    {!Compiled.compile}, {!Engine.compile}), the exploration runs as
-    array walks over its flat successor tables with a dense visited
-    set — byte-identical output (numbering, transitions, truncation,
-    DOT) at any domain count, with states beyond the compile budget
-    materialised lazily through the interpreter.  The automaton must
-    have been compiled with the same configuration; a [compiled] whose
-    root is a different process is ignored and the interpreted path
-    runs. *)
+    {!Compiled.compile}, {!Engine.compile}), the exploration replays
+    its flat successor tables, appending rows beyond the compile budget
+    as it reaches them (speculatively, when [pool] has several
+    domains).  Otherwise a multi-domain [pool] builds a fresh automaton
+    through that speculation and replays it, and no pool runs the
+    interpreted reference loop.  Every path yields the same system
+    (numbering, transitions, truncation, DOT).  The automaton must have
+    been compiled with the same configuration; a [compiled] whose root
+    is a different process is ignored. *)
 
 val signature : t -> string
 (** Canonical, numbering-independent form: sorted printed states,

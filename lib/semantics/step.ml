@@ -57,8 +57,9 @@ let config ?(sampler = Sampler.default) ?(unfold_fuel = 64) ?(hide_fuel = 16)
 
 exception Unproductive of string
 
-(* Cache counters, aggregated by [Engine.stats].  [Atomic] because the
-   domain-local views below flush their tallies from worker domains. *)
+(* Cache counters, exported as the [step.*] snapshot keys.  [Atomic]
+   because the domain-local views below flush their tallies from
+   worker domains. *)
 let unfold_hits = Atomic.make 0
 let unfold_misses = Atomic.make 0
 let trans_hits = Atomic.make 0
@@ -79,14 +80,8 @@ let stats () =
     trans_misses = Atomic.get trans_misses;
   }
 
-let reset_stats () =
-  Atomic.set unfold_hits 0;
-  Atomic.set unfold_misses 0;
-  Atomic.set trans_hits 0;
-  Atomic.set trans_misses 0
-
-(* Expose the cache counters in [Obs.snapshot] without routing through
-   [Engine.stats] (the CLI's `--stats-json` reads the snapshot only). *)
+(* Expose the cache counters in [Obs.snapshot] (the CLI's `--stats` and
+   `--stats-json` read the snapshot only). *)
 let () =
   Obs.register_source "step" (fun () ->
       let s = stats () in
@@ -402,9 +397,6 @@ let transitions cfg p =
   List.map
     (fun (e, vis, q) -> (e, vis, Proc.to_process q))
     (transitions_i cfg (Proc.intern p))
-
-let tau_reachable cfg p =
-  List.map Proc.to_process (tau_reachable_i cfg (Proc.intern p))
 
 let after cfg p e = List.map Proc.to_process (after_i cfg (Proc.intern p) e)
 let accepts_trace cfg p s = accepts_trace_i cfg (Proc.intern p) s

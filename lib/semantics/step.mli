@@ -63,6 +63,9 @@ val transitions_i :
     values. *)
 
 val tau_reachable_i : config -> Csp_lang.Proc.t -> Csp_lang.Proc.t list
+(** The states reachable by at most [hide_fuel] hidden events (including
+    the state itself). *)
+
 val after_i :
   config -> Csp_lang.Proc.t -> Csp_trace.Event.t -> Csp_lang.Proc.t list
 
@@ -110,10 +113,6 @@ val transitions :
     local by an enclosing [chan L] are [Hidden]; input events enumerate
     sampler-chosen values. *)
 
-val tau_reachable : config -> Csp_lang.Process.t -> Csp_lang.Process.t list
-(** The states reachable by at most [hide_fuel] hidden events (including
-    the state itself). *)
-
 val after : config -> Csp_lang.Process.t -> Csp_trace.Event.t ->
   Csp_lang.Process.t list
 (** Visible-event derivative: the states reachable by (≤ [hide_fuel]
@@ -141,7 +140,5 @@ type stats = {
 }
 
 val stats : unit -> stats
-(** Global cache counters since program start (or the last
-    {!reset_stats}), summed over every configuration. *)
-
-val reset_stats : unit -> unit
+(** Global cache counters since program start, summed over every
+    configuration. *)

@@ -157,25 +157,19 @@ let graph_abstract ~model ~n ~max_states =
 
 (* ---- refine ----------------------------------------------------------- *)
 
-let refine ctx ~impl ~spec ~depth ~nat_bound ~weak ~compiled:use_compiled =
+let refine ctx ~impl ~spec ~depth ~nat_bound ~weak =
   let* p = find_process ctx impl in
   let* q = find_process ctx spec in
   let eng = Engine.with_depth (engine ctx ~nat_bound) depth in
   let cfg = Engine.step_config eng in
   if weak then begin
-    let compiler =
-      if use_compiled then begin
-        let compile r = Engine.compile ~budget:2000 eng r in
-        record_compile ctx ~process:impl ~budget:(Some 2000) ~nat_bound;
-        record_compile ctx ~process:spec ~budget:(Some 2000) ~nat_bound;
-        ignore (compile p);
-        ignore (compile q);
-        Some compile
-      end
-      else None
-    in
+    let compiler r = Engine.compile ~budget:2000 eng r in
+    record_compile ctx ~process:impl ~budget:(Some 2000) ~nat_bound;
+    record_compile ctx ~process:spec ~budget:(Some 2000) ~nat_bound;
+    ignore (compiler p);
+    ignore (compiler q);
     let bisimilar =
-      Bisim.weak_equivalent ?pool:(Engine.pool eng) ?compiler cfg p q
+      Bisim.weak_equivalent ?pool:(Engine.pool eng) ~compiler cfg p q
     in
     Ok
       {

@@ -63,7 +63,11 @@ val graph :
   compiled:bool ->
   (outcome, string) result
 (** One status line, then the DOT text.  [Error] when [process] is not
-    defined (the CLI dies with the same message on stderr). *)
+    defined (the CLI dies with the same message on stderr).  The CLI
+    and the server pass [compiled:true]: the exploration replays the
+    engine's cached automaton.  [compiled:false] explores without it —
+    the interpreted reference loop on one domain — and yields the same
+    bytes. *)
 
 val graph_abstract :
   model:string -> n:int -> max_states:int -> (outcome, string) result
@@ -78,8 +82,9 @@ val refine :
   depth:int ->
   nat_bound:int ->
   weak:bool ->
-  compiled:bool ->
   (outcome, string) result
+(** Trace refinement up to [depth], or with [weak] bounded weak
+    bisimilarity over both sides' compiled automata. *)
 
 val prove : ctx -> verbose:bool -> outcome
 (** Proves every declared assertion; [verbose] adds each proof's

@@ -46,8 +46,6 @@ let compiled_total t =
       acc + n)
     0 (contexts t)
 
-let stopping t = Atomic.get t.stop
-
 (* ---- source contexts --------------------------------------------------- *)
 
 (* caller holds [table_lock] *)
@@ -259,11 +257,10 @@ let job_result t req = function
         ~cap_name:"max_states"
     in
     let* nat = int_param req "nat" ~default:3 ~cap:64 ~cap_name:"nat" in
-    let* compiled = field_bool ~default:true req "compiled" in
     with_ctx t req (fun ctx ->
         let* process = require_str req "process" in
         match
-          Jobs.graph ctx ~process ~max_states ~nat_bound:nat ~compiled
+          Jobs.graph ctx ~process ~max_states ~nat_bound:nat ~compiled:true
         with
         | Ok o -> Ok o
         | Error m -> Error (Protocol.Bad_request, m))
@@ -274,13 +271,10 @@ let job_result t req = function
     in
     let* nat = int_param req "nat" ~default:3 ~cap:64 ~cap_name:"nat" in
     let* weak = field_bool ~default:false req "weak" in
-    let* compiled = field_bool ~default:true req "compiled" in
     with_ctx t req (fun ctx ->
         let* impl = require_str req "impl" in
         let* spec = require_str req "spec" in
-        match
-          Jobs.refine ctx ~impl ~spec ~depth ~nat_bound:nat ~weak ~compiled
-        with
+        match Jobs.refine ctx ~impl ~spec ~depth ~nat_bound:nat ~weak with
         | Ok o -> Ok o
         | Error m -> Error (Protocol.Bad_request, m))
   | "prove" -> with_ctx t req (fun ctx -> Ok (Jobs.prove ctx ~verbose:false))
@@ -370,17 +364,13 @@ let handle_op t ~id ~op req =
               ]
             ())))
   | _ -> (
-    let want_stats =
-      match field_bool ~default:false req "stats" with
-      | Ok b -> b
-      | Error _ -> false
-    in
-    let run () = job_result t req op in
     let result, stats =
-      if want_stats then
-        let r, deltas = Obs.delta_snapshot run in
+      match field_bool ~default:false req "stats" with
+      | Error _ as e -> (e, None)
+      | Ok false -> (job_result t req op, None)
+      | Ok true ->
+        let r, deltas = Obs.delta_snapshot (fun () -> job_result t req op) in
         (r, Some deltas)
-      else (run (), None)
     in
     match result with
     | Ok (o : Jobs.outcome) ->

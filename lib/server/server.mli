@@ -61,8 +61,6 @@ val source_count : t -> int
 val compiled_total : t -> int
 (** Compiled automata across every cached engine. *)
 
-val stopping : t -> bool
-
 val serve : ?ready:(unit -> unit) -> t -> config -> unit
 (** Bind the socket and serve until a [shutdown] request arrives.
     [ready] fires once the socket is listening (used by tests and the

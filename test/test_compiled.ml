@@ -214,6 +214,56 @@ let test_bisim_compiler_same_answer () =
   and routed_s = Bisim.equivalent ~compiler cfg p p in
   Alcotest.(check bool) "equivalent unchanged" plain_s routed_s
 
+(* ---- the building walk on a multi-domain engine ---------------------- *)
+
+(* The summed deltas of [keys] while [f] runs. *)
+let moved keys f =
+  let r, deltas = Obs.delta_snapshot f in
+  ( r,
+    List.fold_left
+      (fun acc k -> acc + Option.value ~default:0 (List.assoc_opt k deltas))
+      0 keys )
+
+let chain_engine domains =
+  let defs, net = Paper.Copier.chain_defs 8 in
+  (Engine.create ~domains ~nat_bound:2 defs, net)
+
+let replay eng c net =
+  Lts.explore ~max_states:200_000 ?pool:(Engine.pool eng) ~compiled:c
+    (Engine.step_config eng) net
+
+(* A 2-domain engine compiles through the speculative frontier, and
+   the tables it builds are the 1-domain ones. *)
+let test_compile_through_frontier () =
+  let eng1, net = chain_engine 1 in
+  let c1 = Engine.compile eng1 net in
+  let eng2, _ = chain_engine 2 in
+  let c2, speculated =
+    moved [ "frontier.hits"; "frontier.misses" ] (fun () ->
+        Engine.compile eng2 net)
+  in
+  Alcotest.(check bool) "the frontier served the compile" true (speculated > 0);
+  Alcotest.(check int) "n_states" (Compiled.n_states c1) (Compiled.n_states c2);
+  Alcotest.(check int) "n_rows" (Compiled.n_rows c1) (Compiled.n_rows c2);
+  Alcotest.(check int) "n_transitions" (Compiled.n_transitions c1)
+    (Compiled.n_transitions c2);
+  Alcotest.(check string) "replay DOT"
+    (Lts.to_dot (replay eng1 c1 net))
+    (Lts.to_dot (replay eng2 c2 net))
+
+(* Replaying complete tables derives nothing, so the 2-domain pool
+   must start no speculation at all. *)
+let test_replay_starts_no_speculation () =
+  let eng, net = chain_engine 2 in
+  let c = Engine.compile eng net in
+  let lts, speculated =
+    moved [ "frontier.hits"; "frontier.misses"; "pool.stealing_tasks" ]
+      (fun () -> replay eng c net)
+  in
+  Alcotest.(check int) "complete replay" (Compiled.n_states c)
+    (Lts.num_states lts);
+  Alcotest.(check int) "no frontier or stealing traffic" 0 speculated
+
 let () =
   Alcotest.run "compiled"
     [
@@ -243,5 +293,12 @@ let () =
             test_runner_compiled_identical;
           Alcotest.test_case "bisim compiler" `Quick
             test_bisim_compiler_same_answer;
+        ] );
+      ( "frontier",
+        [
+          Alcotest.test_case "2-domain compile speculates, same tables" `Quick
+            test_compile_through_frontier;
+          Alcotest.test_case "complete replay starts no speculation" `Quick
+            test_replay_starts_no_speculation;
         ] );
     ]

@@ -286,10 +286,25 @@ let test_snapshot_totality () =
     (List.sort compare keys)
     keys
 
+(* A probe nested in another on the same domain (a bench leg around a
+   coverage-guided campaign) must not deadlock on the probe lock, and
+   the outer diff counts the inner one's movement too. *)
+let test_delta_snapshot_nests () =
+  let c = Obs.Counter.make "test.obs.delta.nested" in
+  let ((), inner), outer =
+    Obs.delta_snapshot (fun () ->
+        Obs.Counter.incr c;
+        Obs.delta_snapshot (fun () -> Obs.Counter.add c 2))
+  in
+  let get k deltas = List.assoc_opt k deltas in
+  Alcotest.(check (option int)) "inner delta" (Some 2)
+    (get "test.obs.delta.nested" inner);
+  Alcotest.(check (option int)) "outer delta includes the inner" (Some 3)
+    (get "test.obs.delta.nested" outer)
+
 (* The snapshot keys the CLI's --stats / --stats-json rendering is
    documented to expose: pin them so an instrument rename is a
-   deliberate, test-visible change.  [pool.lock_waits] in particular
-   is printed by [Engine.pp_stats] but was never asserted anywhere. *)
+   deliberate, test-visible change. *)
 let test_snapshot_pins_instrument_keys () =
   (* the fuzz counters register at Fuzz's module initialisation; touch
      the module so the linker keeps it in this binary *)
@@ -507,6 +522,8 @@ let () =
           Alcotest.test_case "reset zeroes metrics, keeps events" `Quick
             test_reset_zeroes_metrics_only;
           Alcotest.test_case "snapshot totality" `Quick test_snapshot_totality;
+          Alcotest.test_case "delta probes nest" `Quick
+            test_delta_snapshot_nests;
           Alcotest.test_case "pinned instrument keys" `Quick
             test_snapshot_pins_instrument_keys;
         ] );

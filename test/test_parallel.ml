@@ -36,24 +36,6 @@ let test_parallel_map_single_domain () =
       let out = Pool.parallel_map pool (fun x -> x + 1) [| 1; 2; 3 |] in
       Alcotest.(check (array int)) "sequential fast path" [| 2; 3; 4 |] out)
 
-let test_map_chunks () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let input = Array.init 57 Fun.id in
-      let sums =
-        Pool.map_chunks pool ~chunk_size:10
-          (fun chunk -> Array.fold_left ( + ) 0 chunk)
-          input
-      in
-      Alcotest.(check int)
-        "chunk sums partition the total"
-        (Array.fold_left ( + ) 0 input)
-        (Array.fold_left ( + ) 0 sums))
-
-let test_run () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let out = Pool.run pool [ (fun () -> "a"); (fun () -> "b") ] in
-      Alcotest.(check (list string)) "thunk results in order" [ "a"; "b" ] out)
-
 exception Boom of int
 
 let test_exception_lowest_index () =
@@ -383,8 +365,6 @@ let () =
           Alcotest.test_case "parallel_map" `Quick test_parallel_map;
           Alcotest.test_case "single-domain fast path" `Quick
             test_parallel_map_single_domain;
-          Alcotest.test_case "map_chunks" `Quick test_map_chunks;
-          Alcotest.test_case "run" `Quick test_run;
           Alcotest.test_case "lowest-indexed exception" `Quick
             test_exception_lowest_index;
           Alcotest.test_case "stats counters" `Quick test_pool_stats;

@@ -222,7 +222,11 @@ let test_bad_requests () =
           (req "graph" [ src "main = STOP\n"; ("process", Json.str "nope") ])));
   check_string "unknown oracle" "bad-request"
     (error_kind
-       (response t (req "fuzz" [ ("oracles", Json.Arr [ Json.str "zap" ]) ])))
+       (response t (req "fuzz" [ ("oracles", Json.Arr [ Json.str "zap" ]) ])));
+  check_string "non-boolean stats" "bad-request"
+    (error_kind
+       (response t
+          (req "fuzz" [ ("count", Json.int 2); ("stats", Json.str "yes") ])))
 
 let test_budget_exceeded () =
   let t = fresh_server () in
@@ -523,6 +527,29 @@ let test_concurrent_jobs () =
         && String.sub out 0 1 = "1" (* one state, self loop *)))
     conns
 
+(* Jobs dispatched onto the pool's stealing session share the closure
+   memo tables: a repeated fuzz request must hit what the first one
+   memoised, exactly as with --jobs 1. *)
+let test_concurrent_jobs_share_memos () =
+  with_server ~jobs:2 @@ fun socket ->
+  let conn =
+    match Workload.connect socket with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
+  in
+  Fun.protect ~finally:(fun () -> Workload.close conn) @@ fun () ->
+  let fuzz =
+    req "fuzz"
+      [ ("seed", Json.int 3); ("count", Json.int 20); ("stats", Json.Bool true) ]
+  in
+  ignore (request_exn conn fuzz);
+  let memo_hits =
+    match Json.member "stats" (request_exn conn fuzz) with
+    | Some stats -> Option.value ~default:0 (Json.mem_int "closure.memo_hits" stats)
+    | None -> Alcotest.fail "a stats:true reply carries no stats"
+  in
+  check_bool "second request hits the closure memos" true (memo_hits > 0)
+
 (* ---- persistence through the server ------------------------------------ *)
 
 let test_save_load_roundtrip () =
@@ -623,6 +650,8 @@ let () =
           Alcotest.test_case "oversized and malformed on socket" `Quick
             test_socket_oversized_and_malformed;
           Alcotest.test_case "concurrent jobs" `Quick test_concurrent_jobs;
+          Alcotest.test_case "concurrent jobs share memos" `Quick
+            test_concurrent_jobs_share_memos;
         ] );
       ( "persistence",
         [
