@@ -37,6 +37,7 @@ module Denote = Csp_semantics.Denote
 module Equiv = Csp_semantics.Equiv
 module Failures = Csp_semantics.Failures
 module Lts = Csp_semantics.Lts
+module Dot = Csp_semantics.Dot
 module Bisim = Csp_semantics.Bisim
 module Compiled = Csp_semantics.Compiled
 

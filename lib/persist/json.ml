@@ -227,21 +227,28 @@ let parse s =
 
 (* ---- printing --------------------------------------------------------- *)
 
+(* Runs of bytes that need no escape are copied whole; only ['"'],
+   ['\\'] and control bytes are rewritten. *)
 let escape buf s =
-  String.iter
-    (fun ch ->
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let ch = String.unsafe_get s i in
+    if ch = '"' || ch = '\\' || Char.code ch < 0x20 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match ch with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
+      | ch -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run)
 
-let to_string v =
+let print ~newline v =
   let buf = Buffer.create 256 in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
@@ -276,7 +283,11 @@ let to_string v =
       Buffer.add_char buf '}'
   in
   go v;
+  if newline then Buffer.add_char buf '\n';
   Buffer.contents buf
+
+let to_string v = print ~newline:false v
+let to_line v = print ~newline:true v
 
 let int n = Num (float_of_int n)
 let str s = Str s

@@ -26,6 +26,11 @@ val to_string : t -> string
 (** Compact single-line rendering.  Integral numbers print without a
     decimal point; non-finite floats print as [null]. *)
 
+val to_line : t -> string
+(** [to_string v] followed by its newline, built in the same buffer:
+    one frame of the newline-delimited protocol, with no copy made to
+    append the terminator. *)
+
 val int : int -> t
 val str : string -> t
 

@@ -12,13 +12,6 @@ let compile_timer = Obs.Timer.make "compiled.compile"
 
 module Int_tbl = Hashtbl.Make (Int)
 
-module Event_tbl = Hashtbl.Make (struct
-  type t = Event.t
-
-  let equal = Event.equal
-  let hash = Event.hash
-end)
-
 (* The flat automaton.  State ids are dense ints in BFS discovery
    order from the root; successor rows live in one shared packed pool
    (CSR layout: [row_off]/[row_len] slice [pk_*]).  [row_off.(s) = -1]
@@ -37,7 +30,7 @@ type t = {
   mutable pk_len : int;
   mutable events : Event.t array;
   mutable n_events : int;
-  eid_of : int Event_tbl.t;
+  eid_of : int Event.Tbl.t;
   mutable n_fallbacks : int;
   mutable ms : float;
 }
@@ -79,13 +72,13 @@ let ensure_pool t n =
   end
 
 let intern_event t e =
-  match Event_tbl.find_opt t.eid_of e with
+  match Event.Tbl.find_opt t.eid_of e with
   | Some i -> i
   | None ->
     let i = t.n_events in
     if i >= Array.length t.events then t.events <- grow_int t.events (i + 1) e;
     t.events.(i) <- e;
-    Event_tbl.add t.eid_of e i;
+    Event.Tbl.add t.eid_of e i;
     t.n_events <- i + 1;
     i
 
@@ -149,7 +142,7 @@ let create cfg (root : Proc.t) =
       pk_len = 0;
       events = Array.make 16 (Event.vi "compiled-sentinel" 0);
       n_events = 0;
-      eid_of = Event_tbl.create 16;
+      eid_of = Event.Tbl.create 16;
       n_fallbacks = 0;
       ms = 0.0;
     }
@@ -273,31 +266,53 @@ let compile ?(budget = 200_000) ?pool cfg p =
   Obs.Timer.observe_ns compile_timer (ms *. 1e6);
   t
 
-type raw = {
-  raw_initial : int;
-  raw_states : Proc.t array;
-  raw_transitions : (int * Event.t * bool * int) list;
-  raw_complete : bool;
-  raw_truncated : bool array;
-}
+type raw = { graph : Dot.graph; node : int -> Proc.t }
 
+(* The recorded edges go straight into flat arrays, in walk order
+   (grouped by ascending source); the event table is the automaton's
+   own, read after the walk so rows it appended are covered. *)
 let explore_raw ?(max_states = 2000) ?pool t =
   Obs.span ~cat:"explore" "explore-compiled"
     ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
   @@ fun () ->
-  let transitions = ref [] in
+  (* sized for a replay of the whole table; a longer walk doubles *)
+  let cap = max 64 (min t.pk_len (8 * max_states)) in
+  let src = ref (Array.make cap 0)
+  and event = ref (Array.make cap 0)
+  and tgt = ref (Array.make cap 0)
+  and visible = ref (Bytes.make cap '\000') in
+  let m = ref 0 in
   let n_q, order, complete, truncated_ids =
     walk ~max_states ?pool ~fallback:true t ~edge:(fun i k j ->
-        transitions :=
-          (i, t.events.(t.pk_event.(k)), Bytes.get t.pk_visible k <> '\000', j)
-          :: !transitions)
+        let e = !m in
+        if e >= Array.length !src then begin
+          src := grow_int !src (e + 1) 0;
+          event := grow_int !event (e + 1) 0;
+          tgt := grow_int !tgt (e + 1) 0;
+          visible := Bytes.extend !visible 0 (Array.length !src - e)
+        end;
+        (!src).(e) <- i;
+        (!event).(e) <- t.pk_event.(k);
+        (!tgt).(e) <- j;
+        Bytes.set !visible e (Bytes.get t.pk_visible k);
+        m := e + 1)
   in
   let truncated = Array.make n_q false in
   List.iter (fun i -> truncated.(i) <- true) truncated_ids;
   {
-    raw_initial = 0;
-    raw_states = Array.init n_q (fun i -> t.nodes.(order.(i)));
-    raw_transitions = List.rev !transitions;
-    raw_complete = complete;
-    raw_truncated = truncated;
+    graph =
+      {
+        Dot.initial = 0;
+        n_states = n_q;
+        complete;
+        truncated;
+        events = t.events;
+        n_events = t.n_events;
+        n_edges = !m;
+        src = !src;
+        event = !event;
+        tgt = !tgt;
+        visible = !visible;
+      };
+    node = (fun i -> t.nodes.(order.(i)));
   }

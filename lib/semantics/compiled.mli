@@ -91,16 +91,17 @@ val transitions_i :
 
 (** {1 Raw exploration}
 
-    {!Lts.explore} with [?compiled] is the public entry point; the raw
-    result exists so this module does not depend on [Lts]. *)
+    {!Lts.explore} with [?compiled] is the public entry point for a
+    transition system; [cspc graph] renders the raw result directly
+    with {!Dot.render}, building no transition list and no state
+    array.  The raw result exists so this module does not depend on
+    [Lts]. *)
 
 type raw = {
-  raw_initial : int;
-  raw_states : Csp_lang.Proc.t array;  (** indexed by state number *)
-  raw_transitions : (int * Csp_trace.Event.t * bool * int) list;
-      (** (source, event, visible, target), in discovery order *)
-  raw_complete : bool;
-  raw_truncated : bool array;
+  graph : Dot.graph;
+      (** the recorded system: states in BFS discovery order, edges in
+          discovery order, the automaton's event table *)
+  node : int -> Csp_lang.Proc.t;  (** state number -> interned node *)
 }
 
 val explore_raw : ?max_states:int -> ?pool:Csp_parallel.Pool.t -> t -> raw
@@ -108,4 +109,5 @@ val explore_raw : ?max_states:int -> ?pool:Csp_parallel.Pool.t -> t -> raw
     dense visited array, the interpreter's truncation bookkeeping.
     Missing rows are appended as fallbacks — through a {!Frontier}
     session on a multi-domain [pool], opened only if a row is
-    missing — so the result is identical at any domain count. *)
+    missing — so the result is identical at any domain count.
+    Records an ["explore-compiled"] span (cat [explore]). *)

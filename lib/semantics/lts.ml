@@ -137,17 +137,22 @@ let explore_interpreted ~max_states cfg p =
 (* A compiled automaton's raw exploration carries the same fields in
    the same discovery order; packaging it is projection only. *)
 let of_raw (r : Compiled.raw) =
+  let g = r.Compiled.graph in
   {
-    initial = r.Compiled.raw_initial;
-    states = Array.map Proc.to_process r.Compiled.raw_states;
+    initial = g.Dot.initial;
+    states =
+      Array.init g.Dot.n_states (fun i -> Proc.to_process (r.Compiled.node i));
     transitions =
-      List.map
-        (fun (source, event, visible, target) ->
-          { source; event; visible; target })
-        r.Compiled.raw_transitions;
-    complete = r.Compiled.raw_complete;
-    n_transitions = List.length r.Compiled.raw_transitions;
-    truncated = r.Compiled.raw_truncated;
+      List.init g.Dot.n_edges (fun k ->
+          {
+            source = g.Dot.src.(k);
+            event = g.Dot.events.(g.Dot.event.(k));
+            visible = Bytes.get g.Dot.visible k <> '\000';
+            target = g.Dot.tgt.(k);
+          });
+    complete = g.Dot.complete;
+    n_transitions = g.Dot.n_edges;
+    truncated = g.Dot.truncated;
   }
 
 let explore ?(max_states = 2000) ?pool ?compiled cfg p =
@@ -242,60 +247,11 @@ let signature t =
     edges;
   Buffer.contents buf
 
-let dot_escape s = String.concat "\\\"" (String.split_on_char '"' s)
-
-(* Deterministic ordering for DOT output: BFS numbering is already a
-   function of the process alone, and edges are emitted sorted — so
-   the same process yields byte-identical graphs across runs. *)
-let transition_compare a b =
-  let c = Int.compare a.source b.source in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.target b.target in
-    if c <> 0 then c
-    else
-      let c = Event.compare a.event b.event in
-      if c <> 0 then c else Bool.compare a.visible b.visible
-
-let to_dot ?(name = "lts") ?(header = "") t =
-  Obs.span ~cat:"export" "to_dot"
-    ~args:(fun () -> [ ("states", Obs.Int (num_states t)) ])
-  @@ fun () ->
-  let n = num_states t in
-  (* sized for typical node/edge lines, so large graphs render without
-     the buffer's doubling copies; an underestimate costs one doubling *)
-  let buf =
-    Buffer.create
-      (String.length header + (48 * num_transitions t) + (32 * n) + 64)
-  in
-  Buffer.add_string buf header;
-  let dead = Array.make n false in
-  List.iter (fun i -> dead.(i) <- true) (deadlock_states t);
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=LR;\n" name);
-  Buffer.add_string buf
-    (Printf.sprintf "  n%d [style=bold];\n" t.initial);
-  for i = 0 to n - 1 do
-    if dead.(i) then
-      Buffer.add_string buf (Printf.sprintf "  n%d [shape=doublecircle];\n" i)
-  done;
-  (* truncated states are drawn dashed: their outgoing edges were cut
-     at the state bound, so the picture under-reports their moves *)
-  for i = 0 to n - 1 do
-    if t.truncated.(i) then
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [shape=circle, style=dashed];\n" i)
-  done;
-  Array.iteri
-    (fun i _ ->
-      if (not dead.(i)) && (not t.truncated.(i)) && i <> t.initial then
-        Buffer.add_string buf (Printf.sprintf "  n%d [shape=circle];\n" i))
-    t.states;
-  List.iter
-    (fun tr ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -> n%d [label=\"%s\"%s];\n" tr.source tr.target
-           (dot_escape (Event.to_string tr.event))
-           (if tr.visible then "" else ", style=dashed")))
-    (List.sort transition_compare t.transitions);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+let to_dot ?name ?header t =
+  Dot.render ?name ?header
+    (Dot.of_transitions ~initial:t.initial ~n_states:(num_states t)
+       ~complete:t.complete ~truncated:t.truncated ~n_edges:t.n_transitions
+       (fun add ->
+         List.iter
+           (fun tr -> add tr.source tr.event tr.visible tr.target)
+           t.transitions))

@@ -103,10 +103,11 @@ val is_deterministic : t -> bool
 val reachable_channels : t -> Csp_trace.Channel.t list
 
 val to_dot : ?name:string -> ?header:string -> t -> string
-(** Graphviz source; hidden events are drawn dashed, deadlock states
-    doubly circled, truncation-affected states dashed.  Output is
-    deterministic: node numbers come from the BFS discovery order and
-    edges are emitted sorted by (source, target, event, visibility).
-    [header] (default empty) is emitted verbatim before the graph, so
-    a caller can frame it with status lines without copying the DOT
-    text. *)
+(** Graphviz source, written by {!Dot.render} from
+    {!Dot.of_transitions} of the transition list; hidden events are drawn
+    dashed, deadlock states doubly circled, truncation-affected states
+    dashed.  Output is deterministic: node numbers come from the BFS
+    discovery order and edges are emitted sorted by (source, target,
+    event, visibility).  [header] (default empty) is emitted verbatim
+    before the graph, so a caller can frame it with status lines
+    without copying the DOT text. *)

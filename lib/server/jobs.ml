@@ -89,32 +89,46 @@ let parse ctx =
 
 (* ---- graph ------------------------------------------------------------ *)
 
-let graph ctx ~process ~max_states ~nat_bound ~compiled:use_compiled =
+let status_line (f : Dot.facts) =
+  Printf.sprintf
+    "%d states, %d transitions%s; deterministic=%b; deadlock states: %d\n"
+    f.Dot.states f.Dot.transitions
+    (if f.Dot.complete then ""
+     else
+       Printf.sprintf " (truncated; %d states with dropped moves)"
+         f.Dot.truncated_states)
+    f.Dot.deterministic f.Dot.deadlocks
+
+(* The compiled path writes the reply straight from the walk's flat
+   edges; the interpreted reference takes its facts from the [Lts.t]
+   it explored. *)
+let graph ctx ~process ~max_states ~nat_bound ~compiled =
   let* p = find_process ctx process in
   let eng = engine ctx ~nat_bound in
-  let compiled =
-    if use_compiled then begin
+  let pool = Engine.pool eng in
+  let output =
+    if compiled then begin
       record_compile ctx ~process ~budget:(Some max_states) ~nat_bound;
-      Some (Engine.compile ~budget:max_states eng p)
+      let c = Engine.compile ~budget:max_states eng p in
+      let r = Compiled.explore_raw ~max_states ?pool c in
+      Dot.render ~name:process ~status:status_line r.Compiled.graph
     end
-    else None
+    else begin
+      let lts = Lts.explore ~max_states ?pool (Engine.step_config eng) p in
+      let facts =
+        {
+          Dot.states = Lts.num_states lts;
+          transitions = Lts.num_transitions lts;
+          complete = lts.Lts.complete;
+          deterministic = Lts.is_deterministic lts;
+          deadlocks = List.length (Lts.deadlock_states lts);
+          truncated_states = List.length (Lts.truncated_states lts);
+        }
+      in
+      Lts.to_dot ~name:process ~header:(status_line facts) lts
+    end
   in
-  let lts =
-    Lts.explore ~max_states ?pool:(Engine.pool eng) ?compiled
-      (Engine.step_config eng) p
-  in
-  let status =
-    Printf.sprintf
-      "%d states, %d transitions%s; deterministic=%b; deadlock states: %d\n"
-      (Lts.num_states lts) (Lts.num_transitions lts)
-      (if lts.Lts.complete then ""
-       else
-         Printf.sprintf " (truncated; %d states with dropped moves)"
-           (List.length (Lts.truncated_states lts)))
-      (Lts.is_deterministic lts)
-      (List.length (Lts.deadlock_states lts))
-  in
-  Ok { output = Lts.to_dot ~name:process ~header:status lts; exit_code = 0 }
+  Ok { output; exit_code = 0 }
 
 (* ---- preset families --------------------------------------------------- *)
 

@@ -62,12 +62,21 @@ val graph :
   nat_bound:int ->
   compiled:bool ->
   (outcome, string) result
-(** One status line, then the DOT text.  [Error] when [process] is not
-    defined (the CLI dies with the same message on stderr).  The CLI
-    and the server pass [compiled:true]: the exploration replays the
-    engine's cached automaton.  [compiled:false] explores without it —
-    the interpreted reference loop on one domain — and yields the same
-    bytes. *)
+(** One status line ({!status_line}), then the DOT text.  [Error]
+    when [process] is not defined (the CLI dies with the same message
+    on stderr).  The CLI and the server pass [compiled:true]: the
+    exploration replays the engine's cached automaton and {!Dot.render}
+    writes the reply from the recorded edge arrays, with no
+    transition list, state array or [Lts.t] in between.
+    [compiled:false] is the reference: it explores without the
+    automaton (the interpreted loop on one domain), takes the status
+    facts from {!Lts.is_deterministic}, {!Lts.deadlock_states} and
+    {!Lts.truncated_states}, renders with {!Lts.to_dot}, and yields
+    the same bytes. *)
+
+val status_line : Dot.facts -> string
+(** [cspc graph]'s first line: state and transition counts, the
+    truncation note, determinism and the deadlock count. *)
 
 val graph_abstract :
   model:string -> n:int -> max_states:int -> (outcome, string) result

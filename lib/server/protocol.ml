@@ -80,13 +80,14 @@ let read_frame r =
 
 let buffered_frame r = String.contains r.carry '\n'
 
-let write_frame fd s =
-  let data = Bytes.of_string (s ^ "\n") in
-  let n = Bytes.length data in
+(* The newline is printed into the JSON buffer, so the frame costs
+   one copy (the buffer's contents) and, unless the socket takes it
+   in parts, one write. *)
+let write_frame fd j =
+  let s = Json.to_line j in
+  let n = String.length s in
   let rec go off =
-    if off < n then
-      let k = Unix.write fd data off (n - off) in
-      go (off + k)
+    if off < n then go (off + Unix.write_substring fd s off (n - off))
   in
   go 0
 

@@ -54,8 +54,9 @@ val buffered_frame : reader -> bool
     server's event loop uses this to drain pipelined requests before
     handing the connection back to the poller. *)
 
-val write_frame : Unix.file_descr -> string -> unit
-(** Write the frame plus the terminating newline.  Raises
+val write_frame : Unix.file_descr -> Csp_persist.Json.t -> unit
+(** Write the value as one frame: {!Csp_persist.Json.to_line}, whose
+    newline is printed into the same buffer as the text.  Raises
     [Unix.Unix_error] ([EPIPE]/[ECONNRESET]) if the peer vanished —
     callers treat that as a normal disconnect. *)
 

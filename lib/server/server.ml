@@ -378,27 +378,26 @@ let handle_op t ~id ~op req =
         ~exit_code:o.Jobs.exit_code ?stats ~elapsed_ms:(elapsed ()) ()
     | Error (kind, m) -> Protocol.error_response ~id kind m)
 
-let handle_line t line =
-  let resp =
-    match Json.parse line with
-    | Error m ->
-      Protocol.error_response Protocol.Malformed_frame
-        (Printf.sprintf "request is not valid JSON: %s" m)
-    | Ok (Json.Obj _ as req) -> (
-      let id = Option.value ~default:Json.Null (Json.member "id" req) in
-      match Json.mem_str "op" req with
-      | None ->
-        Protocol.error_response ~id Protocol.Bad_request
-          "missing string field \"op\""
-      | Some op -> (
-        try handle_op t ~id ~op req
-        with e ->
-          Protocol.error_response ~id Protocol.Internal (Printexc.to_string e)))
-    | Ok _ ->
-      Protocol.error_response Protocol.Malformed_frame
-        "request frame must be a JSON object"
-  in
-  Json.to_string resp
+let respond t line =
+  match Json.parse line with
+  | Error m ->
+    Protocol.error_response Protocol.Malformed_frame
+      (Printf.sprintf "request is not valid JSON: %s" m)
+  | Ok (Json.Obj _ as req) -> (
+    let id = Option.value ~default:Json.Null (Json.member "id" req) in
+    match Json.mem_str "op" req with
+    | None ->
+      Protocol.error_response ~id Protocol.Bad_request
+        "missing string field \"op\""
+    | Some op -> (
+      try handle_op t ~id ~op req
+      with e ->
+        Protocol.error_response ~id Protocol.Internal (Printexc.to_string e)))
+  | Ok _ ->
+    Protocol.error_response Protocol.Malformed_frame
+      "request frame must be a JSON object"
+
+let handle_line t line = Json.to_string (respond t line)
 
 (* ---- the socket loop --------------------------------------------------- *)
 
@@ -420,14 +419,13 @@ let process_ready t live =
          connection rather than try to resynchronise *)
       (try
          Protocol.write_frame live.fd
-           (Json.to_string
-              (Protocol.error_response Protocol.Frame_too_large
-                 (Printf.sprintf "frame exceeds %d bytes"
-                    t.limits.Protocol.max_frame)))
+           (Protocol.error_response Protocol.Frame_too_large
+              (Printf.sprintf "frame exceeds %d bytes"
+                 t.limits.Protocol.max_frame))
        with Unix.Unix_error _ -> ());
       `Close
     | `Frame line -> (
-      let resp = handle_line t line in
+      let resp = respond t line in
       match Protocol.write_frame live.fd resp with
       | () ->
         if Atomic.get t.stop then `Close

@@ -23,7 +23,7 @@ let connect path =
 let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 let request conn j =
-  match Protocol.write_frame conn.fd (Json.to_string j) with
+  match Protocol.write_frame conn.fd j with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | () -> (
     match Protocol.read_frame conn.reader with

@@ -12,3 +12,10 @@ let equal a b = compare a b = 0
 let hash e = ((Channel.hash e.chan * 31) + Value.hash e.value) land max_int
 let pp ppf e = Format.fprintf ppf "%a.%a" Channel.pp e.chan Value.pp e.value
 let to_string e = Format.asprintf "%a" pp e
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -19,5 +19,8 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** Structural hash consistent with {!equal}. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by events, under {!equal} and {!hash}. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

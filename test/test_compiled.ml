@@ -36,6 +36,47 @@ let lts_identical (seq : Lts.t) (com : Lts.t) =
   && List.equal Int.equal (Lts.deadlock_states com) (Lts.deadlock_states seq)
   && String.equal (Lts.to_dot com) (Lts.to_dot seq)
 
+(* The reply [cspc graph] prints, both ways.  The interpreted
+   reference takes its status facts from the list-based [Lts]
+   functions and its DOT from [Lts.to_dot]; the compiled reply is
+   written by the one DOT writer straight from the walk's edges, as
+   [Jobs.graph] does. *)
+let interpreted_reply (lts : Lts.t) =
+  Printf.sprintf
+    "%d states, %d transitions%s; deterministic=%b; deadlock states: %d\n"
+    (Lts.num_states lts) (Lts.num_transitions lts)
+    (if lts.Lts.complete then ""
+     else
+       Printf.sprintf " (truncated; %d states with dropped moves)"
+         (List.length (Lts.truncated_states lts)))
+    (Lts.is_deterministic lts)
+    (List.length (Lts.deadlock_states lts))
+  ^ Lts.to_dot ~name:"g" lts
+
+let compiled_reply ?pool ~max_states compiled =
+  Dot.render ~name:"g" ~status:Csp_server.Jobs.status_line
+    (Compiled.explore_raw ~max_states ?pool compiled).Compiled.graph
+
+(* The compiled reply equals the interpreted one at each bound: the
+   caller passes its own [max_states] and one bound of the other kind
+   (truncating or not), each checked against a fresh interpreted
+   exploration. *)
+let replies_identical ?pool ~bounds fresh_cfg compiled p =
+  List.for_all
+    (fun max_states ->
+      String.equal
+        (compiled_reply ?pool ~max_states compiled)
+        (interpreted_reply (Lts.explore ~max_states (fresh_cfg ()) p)))
+    bounds
+
+(* [max_states] and, when the reference ran to completion with more
+   than one state, the bound one below its state count — which cuts
+   the last state discovered, so the reply is truncated. *)
+let bounds_around (seq : Lts.t) max_states =
+  if seq.Lts.complete && Lts.num_states seq > 1 then
+    [ max_states; Lts.num_states seq - 1 ]
+  else [ max_states ]
+
 (* ---- QCheck differential: generated scenarios ------------------------ *)
 
 let compiled_identical_qcheck =
@@ -52,7 +93,9 @@ let compiled_identical_qcheck =
          let cfg = fresh_cfg () in
          let compiled = Compiled.compile cfg p in
          let com = Lts.explore ~max_states:300 ~compiled cfg p in
-         lts_identical seq com))
+         lts_identical seq com
+         && replies_identical ~bounds:(bounds_around seq 300) fresh_cfg
+              compiled p))
 
 (* The fallback path: a compile budget far below the reachable state
    count leaves most rows unmaterialised, so exploration must lazily
@@ -71,7 +114,9 @@ let compiled_fallback_qcheck =
          let cfg = fresh_cfg () in
          let compiled = Compiled.compile ~budget:1 cfg p in
          let com = Lts.explore ~max_states:300 ~compiled cfg p in
-         lts_identical seq com))
+         lts_identical seq com
+         && replies_identical ~bounds:(bounds_around seq 300) fresh_cfg
+              compiled p))
 
 (* ---- determinism across domain counts -------------------------------- *)
 
@@ -94,6 +139,12 @@ let test_philosophers_identical_any_domains () =
             (Printf.sprintf "philosophers identical at %d domains" domains)
             true (lts_identical seq com);
           Alcotest.(check bool)
+            (Printf.sprintf "philosophers reply identical at %d domains"
+               domains)
+            true
+            (replies_identical ~pool ~bounds:(bounds_around seq 5000)
+               fresh_cfg compiled net);
+          Alcotest.(check bool)
             "lazy rows were materialised" true
             (Compiled.fallbacks compiled > 0)))
     domain_counts
@@ -112,18 +163,29 @@ let test_truncation_identical () =
   let p = Process.call "count" (Expr.int 0) in
   let cfg () = Step.config ~sampler:(Sampler.nat_bound 2) counter_defs in
   let seq = Lts.explore ~max_states:5 (cfg ()) p in
-  let c = cfg () in
-  (* the compile runs past the explore bound: ids beyond max_states
-     exist in the automaton but must not leak into the exploration *)
-  let compiled = Compiled.compile ~budget:20 c p in
-  let com = Lts.explore ~max_states:5 ~compiled c p in
-  Alcotest.(check bool) "identical truncated system" true
-    (lts_identical seq com);
-  Alcotest.(check bool) "incomplete" false com.Lts.complete;
-  Alcotest.(check (list int)) "cut state flagged" [ 4 ]
-    (Lts.truncated_states com);
-  Alcotest.(check (list int)) "no deadlock false positive" []
-    (Lts.deadlock_states com)
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let c = cfg () in
+          (* the compile runs past the explore bound: ids beyond
+             max_states exist in the automaton but must not leak into
+             the exploration *)
+          let compiled = Compiled.compile ~budget:20 c p in
+          let com = Lts.explore ~max_states:5 ~pool ~compiled c p in
+          Alcotest.(check bool) "identical truncated system" true
+            (lts_identical seq com);
+          Alcotest.(check bool) "incomplete" false com.Lts.complete;
+          Alcotest.(check (list int)) "cut state flagged" [ 4 ]
+            (Lts.truncated_states com);
+          Alcotest.(check (list int)) "no deadlock false positive" []
+            (Lts.deadlock_states com);
+          (* the counter never completes: both bounds truncate, one
+             inside the compiled prefix and one beyond it *)
+          Alcotest.(check bool)
+            (Printf.sprintf "truncated reply identical at %d domains" domains)
+            true
+            (replies_identical ~pool ~bounds:[ 5; 30 ] cfg compiled p)))
+    domain_counts
 
 let test_deadlock_identical () =
   let defs =
@@ -132,12 +194,64 @@ let test_deadlock_identical () =
          (Process.Output (Chan_expr.simple "a", Expr.int 0, Process.Stop))
   in
   let p = Process.ref_ "once" in
-  let cfg = Step.config ~sampler:(Sampler.nat_bound 2) defs in
-  let compiled = Compiled.compile cfg p in
-  let com = Lts.explore ~max_states:10 ~compiled cfg p in
-  Alcotest.(check bool) "complete" true com.Lts.complete;
-  Alcotest.(check (list int)) "STOP is deadlocked" [ 1 ]
-    (Lts.deadlock_states com)
+  let cfg () = Step.config ~sampler:(Sampler.nat_bound 2) defs in
+  let seq = Lts.explore ~max_states:10 (cfg ()) p in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let c = cfg () in
+          let compiled = Compiled.compile c p in
+          let com = Lts.explore ~max_states:10 ~pool ~compiled c p in
+          Alcotest.(check bool) "identical system" true (lts_identical seq com);
+          Alcotest.(check bool) "complete" true com.Lts.complete;
+          Alcotest.(check (list int)) "STOP is deadlocked" [ 1 ]
+            (Lts.deadlock_states com);
+          (* at bound 1 the STOP state is cut: no deadlock, one
+             truncated state *)
+          Alcotest.(check bool)
+            (Printf.sprintf "deadlock reply identical at %d domains" domains)
+            true
+            (replies_identical ~pool ~bounds:(bounds_around seq 10) cfg
+               compiled p)))
+    domain_counts
+
+(* A derived system (as quotients build them) lists its transitions
+   in no particular order; the writer sorts each source's edges by
+   (target, event, visibility) and reads the status facts off the
+   same arrays. *)
+let test_ungrouped_dot () =
+  let ev c v = Event.make (Channel.simple c) v in
+  let tr source event visible target = { Lts.source; event; visible; target } in
+  let lts =
+    Lts.make ~truncated:[| false; true; false |] ~initial:0
+      ~states:[| Process.Stop; Process.Stop; Process.Stop |]
+      ~transitions:
+        [
+          tr 1 (ev "c" (Value.Str "q")) true 2;
+          tr 0 (ev "a" (Value.Int 1)) true 1;
+          tr 1 (ev "b" (Value.Int 0)) true 0;
+          tr 0 (ev "a" (Value.Int 0)) false 1;
+          tr 0 (ev "a" (Value.Int 1)) true 0;
+        ]
+      ~complete:false ()
+  in
+  Alcotest.(check string) "sorted, escaped DOT"
+    "digraph hand {\n\
+    \  rankdir=LR;\n\
+    \  n0 [style=bold];\n\
+    \  n2 [shape=doublecircle];\n\
+    \  n1 [shape=circle, style=dashed];\n\
+    \  n0 -> n0 [label=\"a.1\"];\n\
+    \  n0 -> n1 [label=\"a.0\", style=dashed];\n\
+    \  n0 -> n1 [label=\"a.1\"];\n\
+    \  n1 -> n0 [label=\"b.0\"];\n\
+    \  n1 -> n2 [label=\"c.\\\"q\\\"\"];\n\
+     }\n"
+    (Lts.to_dot ~name:"hand" lts);
+  Alcotest.(check bool) "reference: nondeterministic on a.1" false
+    (Lts.is_deterministic lts);
+  Alcotest.(check (list int)) "reference: state 2 deadlocks" [ 2 ]
+    (Lts.deadlock_states lts)
 
 (* ---- the automaton itself -------------------------------------------- *)
 
@@ -279,6 +393,8 @@ let () =
           Alcotest.test_case "truncated system identical" `Quick
             test_truncation_identical;
           Alcotest.test_case "deadlocks survive" `Quick test_deadlock_identical;
+          Alcotest.test_case "ungrouped transitions render sorted" `Quick
+            test_ungrouped_dot;
         ] );
       ( "tables",
         [

@@ -438,6 +438,42 @@ let disabled_spans_silent =
          ignore (run program);
          Obs.event_count () = before))
 
+(* ---- a request's layer split ------------------------------------------ *)
+
+(* One compiled graph request shows its compile, its walk and its
+   render as separate spans, so a traced [cspc graph] or [cspc serve]
+   splits each request by layer. *)
+let test_graph_request_spans () =
+  let source =
+    In_channel.with_open_bin "../examples/protocol.csp" In_channel.input_all
+  in
+  let ctx =
+    match Csp_server.Jobs.ctx_of_source source with
+    | Ok ctx -> ctx
+    | Error m -> Alcotest.fail m
+  in
+  with_telemetry (fun () ->
+      Obs.clear_events ();
+      (match
+         Csp_server.Jobs.graph ctx ~process:"protocol" ~max_states:2000
+           ~nat_bound:2 ~compiled:true
+       with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      let recorded =
+        List.map (fun e -> (e.Obs.cat, e.Obs.name)) (Obs.events ())
+      in
+      List.iter
+        (fun span ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s recorded" (fst span) (snd span))
+            true (List.mem span recorded))
+        [
+          ("compiled", "compile");
+          ("explore", "explore-compiled");
+          ("export", "to_dot");
+        ])
+
 (* ---- exports ---------------------------------------------------------- *)
 
 let test_chrome_trace_schema () =
@@ -534,6 +570,8 @@ let () =
             test_span_records_on_raise;
           Alcotest.test_case "args thunk lazy" `Quick test_span_args_lazy;
           disabled_spans_silent;
+          Alcotest.test_case "graph request: compile, explore, render" `Quick
+            test_graph_request_spans;
         ] );
       ( "exports",
         [

@@ -51,6 +51,49 @@ let test_json_escapes () =
   check_bool "control escaped" true
     (String.length (Json.to_string (Json.str "\x00")) > 4)
 
+(* The printer's escaper before it copied plain runs whole: one
+   decision per byte.  Kept as the reference the faster one must
+   match byte for byte. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | ch when Char.code ch < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+      | ch -> Buffer.add_char buf ch)
+    s;
+  "\"" ^ Buffer.contents buf ^ "\""
+
+(* Strings over all 256 byte values, weighted toward the bytes the
+   escaper rewrites. *)
+let json_string =
+  QCheck2.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (3, oneofl [ '"'; '\\'; '\n' ]);
+             (2, map Char.chr (int_range 0 0x1f));
+             (5, char);
+           ])
+      (int_range 0 80))
+
+let json_escape_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"string escaping: reference bytes, parses back, one frame"
+       ~print:(Printf.sprintf "%S") json_string (fun s ->
+         let printed = Json.to_string (Json.Str s) in
+         String.equal printed (reference_escape s)
+         && Json.parse printed = Ok (Json.Str s)
+         && String.equal (Json.to_line (Json.Str s)) (printed ^ "\n")))
+
 let test_json_errors () =
   let bad s =
     match Json.parse s with
@@ -166,6 +209,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "numbers" `Quick test_json_numbers;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
+          json_escape_property;
           Alcotest.test_case "errors" `Quick test_json_errors;
         ] );
       ( "snapshot",
