@@ -4,6 +4,7 @@ module Channel = Csp_trace.Channel
 module Chan_expr = Csp_lang.Chan_expr
 module Expr = Csp_lang.Expr
 module Valuation = Csp_lang.Valuation
+module Vset = Csp_lang.Vset
 
 type goal = { hyps : Assertion.t list; concl : Assertion.t }
 
@@ -118,7 +119,81 @@ let linear_le hyps lhs rhs =
         hyps
   | _ -> false
 
-let rec syntactic hyps concl =
+(* --- unfolding by defining equations ---------------------------------- *)
+
+(* Does every value the head can take meet the guard?  A constant is
+   tested; a variable is decided by its binder's range.  [env] lists the
+   ranges of the enclosing [Forall] binders, innermost first, so a
+   rebound name hides the outer range. *)
+let decided env guard head =
+  match guard, head with
+  | Afun.Any, _ -> true
+  | Afun.In m, Term.Const v -> Vset.mem m v
+  | Afun.In m, Term.Var x -> (
+    match List.assoc_opt x env with
+    | Some r -> Vset.subset r m
+    | None -> false)
+  | Afun.In _, _ -> false
+
+let rec split_heads n t =
+  if n = 0 then Some ([], t)
+  else
+    match t with
+    | Term.Cons (x, s) ->
+      Option.map (fun (xs, rest) -> (x :: xs, rest)) (split_heads (n - 1) s)
+    | _ -> None
+
+let cons_all heads tail = List.fold_right (fun x s -> Term.Cons (x, s)) heads tail
+
+(* [name(arg)] rewritten by the first clause whose guards the heads of
+   [arg] all meet.  Only clauses that pass back fewer heads than they
+   match are used, so the cons spine of the argument shrinks and
+   repeated unfolding terminates. *)
+let unfold_app funs env name arg =
+  match Afun.find funs name with
+  | None -> None
+  | Some fn ->
+    List.find_map
+      (fun (c : Afun.clause) ->
+        let k = List.length c.guards in
+        if List.length c.pass >= k then None
+        else
+          match split_heads k arg with
+          | Some (heads, tail) when List.for_all2 (decided env) c.guards heads ->
+            let pick = List.map (List.nth heads) in
+            Some (cons_all (pick c.emit) (Term.App (name, cons_all (pick c.pass) tail)))
+          | _ -> None)
+      fn.equations
+
+let rec unfold funs env t =
+  let u = unfold funs env in
+  match t with
+  | Term.App (name, arg) -> (
+    let arg = u arg in
+    match unfold_app funs env name arg with
+    | Some t' -> u t'
+    | None -> Term.App (name, arg))
+  | Term.Cons (a, b) -> Term.Cons (u a, u b)
+  | Term.Cat (a, b) -> Term.Cat (u a, u b)
+  | Term.Len a -> Term.Len (u a)
+  | Term.Index (a, b) -> Term.Index (u a, u b)
+  | Term.Neg a -> Term.Neg (u a)
+  | Term.Add (a, b) -> Term.Add (u a, u b)
+  | Term.Sub (a, b) -> Term.Sub (u a, u b)
+  | Term.Mul (a, b) -> Term.Mul (u a, u b)
+  | Term.Div (a, b) -> Term.Div (u a, u b)
+  | Term.Mod (a, b) -> Term.Mod (u a, u b)
+  | Term.Const _ | Term.Var _ | Term.Chan _ | Term.Sum _ -> t
+
+let unfold_atom funs env = function
+  | Assertion.Eq (a, b) -> Assertion.Eq (unfold funs env a, unfold funs env b)
+  | Assertion.Cmp (c, a, b) -> Assertion.Cmp (c, unfold funs env a, unfold funs env b)
+  | Assertion.Prefix (a, b) -> Assertion.Prefix (unfold funs env a, unfold funs env b)
+  | r -> r
+
+(* --- exact phase ------------------------------------------------------ *)
+
+let rec syntactic funs env hyps concl =
   if List.exists (Assertion.equal Assertion.False) hyps then
     Some "ex falso quodlibet"
   else if List.exists (Assertion.equal concl) hyps then Some "hypothesis"
@@ -126,19 +201,32 @@ let rec syntactic hyps concl =
     match concl with
     | Assertion.True -> Some "trivially true"
     | Assertion.And (r, s) -> (
-      match syntactic hyps r, syntactic hyps s with
+      match syntactic funs env hyps r, syntactic funs env hyps s with
       | Some a, Some b -> Some (a ^ " & " ^ b)
       | _ -> None)
-    | Assertion.Imp (r, s) -> syntactic (flatten_hyp r @ hyps) s
-    | Assertion.Forall (_, _, r) ->
-      (* Syntactic rules treat the bound variable as uninterpreted, so a
-         generic proof of the body proves the quantified formula. *)
-      Option.map (fun m -> "forall-generalisation; " ^ m) (syntactic hyps r)
-    | Assertion.Eq (a, b) when Term.equal a b -> Some "equality reflexivity"
-    | Assertion.Cmp (Assertion.Le, a, b) when linear_le hyps a b ->
-      Some "length arithmetic"
-    | Assertion.Prefix (a, b) -> syntactic_prefix hyps a b
+    | Assertion.Imp (r, s) -> syntactic funs env (flatten_hyp r @ hyps) s
+    | Assertion.Forall (x, m, r) ->
+      (* The body is proved for an arbitrary [x] in [m]; hypotheses about
+         an outer [x] say nothing about this one. *)
+      let hyps = List.filter (fun h -> not (List.mem x (Assertion.free_vars h))) hyps in
+      Option.map
+        (fun how -> "forall-generalisation; " ^ how)
+        (syntactic funs ((x, m) :: env) hyps r)
+    | Assertion.Eq _ | Assertion.Cmp _ | Assertion.Prefix _ ->
+      let unfolded = unfold_atom funs env concl in
+      if Assertion.equal unfolded concl then atomic hyps concl
+      else
+        Option.map
+          (fun how -> "defining equations; " ^ how)
+          (syntactic funs env hyps unfolded)
     | _ -> None
+
+and atomic hyps = function
+  | Assertion.Eq (a, b) when Term.equal a b -> Some "equality reflexivity"
+  | Assertion.Cmp (Assertion.Le, a, b) when linear_le hyps a b ->
+    Some "length arithmetic"
+  | Assertion.Prefix (a, b) -> syntactic_prefix hyps a b
+  | _ -> None
 
 and syntactic_prefix hyps a b =
   if Term.equal a b then Some "prefix reflexivity"
@@ -292,7 +380,10 @@ let semantic cfg g =
 
 let prove ?(config = default_config) g =
   let hyps = flatten g.hyps in
-  match if config.syntactic_phase then syntactic hyps g.concl else None with
+  match
+    if config.syntactic_phase then syntactic config.funs [] hyps g.concl
+    else None
+  with
   | Some how -> Proved how
   | None ->
     let f = formula { hyps; concl = g.concl } in

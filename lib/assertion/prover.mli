@@ -9,7 +9,9 @@
     + {b evaluation} — the goal is ground: evaluate it (exact);
     + {b syntactic rules} — reflexivity, ⟨⟩-least, cons-monotonicity,
       hypothesis matching, transitivity through a hypothesis,
-      ∧/⇒ decomposition (exact);
+      ∧/⇒/∀ decomposition, and unfolding of a sequence function applied
+      to a cons by its defining equations ({!Afun.clause}), a clause's
+      guards decided by constants and the enclosing ∀ ranges (exact);
     + {b bounded testing} — enumerate histories over a finite message
       alphabet up to a length bound, then random longer ones; a failure
       refutes the goal definitively; survival yields [Unknown] with the

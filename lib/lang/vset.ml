@@ -27,6 +27,24 @@ let rec mem m (v : Value.t) =
   | Bools, Value.Bool _ -> true
   | Bools, _ -> false
 
+let rec has_nat = function
+  | Nat -> true
+  | Union (a, b) -> has_nat a || has_nat b
+  | Range _ | Enum _ | Bools -> false
+
+(* NAT is the only infinite set, so it lies inside [b] exactly when [b]
+   has a NAT component, as does any range of naturals; other ranges
+   are walked element by element. *)
+let rec subset a b =
+  match a with
+  | Union (a1, a2) -> subset a1 b && subset a2 b
+  | Nat -> has_nat b
+  | Range (lo, hi) ->
+    let rec from n = n > hi || (mem b (Value.Int n) && from (n + 1)) in
+    (lo >= 0 && has_nat b) || from lo
+  | Enum vs -> List.for_all (mem b) vs
+  | Bools -> mem b (Value.Bool false) && mem b (Value.Bool true)
+
 let rec is_finite = function
   | Nat -> false
   | Range _ | Enum _ | Bools -> true

@@ -16,6 +16,9 @@ val mem : t -> Csp_trace.Value.t -> bool
 
 val is_finite : t -> bool
 
+val subset : t -> t -> bool
+(** [subset a b]: every element of [a] is in [b]. *)
+
 val enumerate : t -> Csp_trace.Value.t list option
 (** [enumerate m] lists the elements of [m] (deduplicated) when [m] is
     finite, [None] otherwise. *)

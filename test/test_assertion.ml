@@ -106,9 +106,58 @@ let test_other_afuns () =
   check_bool "default env has f" true (Afun.find Afun.default_env "f" <> None);
   check_bool "custom registration" true
     (Afun.find
-       (Afun.register { Afun.name = "g"; doc = ""; apply = List.rev } Afun.default_env)
+       (Afun.register { Afun.name = "g"; doc = ""; apply = List.rev; equations = [] } Afun.default_env)
        "g"
     <> None)
+
+(* ---- Defining equations --------------------------------------------- *)
+
+let clauses =
+  List.concat_map
+    (fun fn -> List.map (fun c -> (fn, c)) fn.Afun.equations)
+    (Afun.to_list Afun.default_env)
+
+let any_value_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun n -> Value.Int n) (int_range 0 5);
+        oneofl [ Value.ack; Value.nack; Value.sym "OTHER" ];
+      ])
+
+(* h1^…^hk^s with each hi drawn from its guard's set *)
+let clause_instance_gen =
+  QCheck2.Gen.(
+    oneofl clauses >>= fun (fn, c) ->
+    let head = function
+      | Afun.Any -> any_value_gen
+      | Afun.In m -> oneofl (Vset.enumerate_bounded ~bound:6 m)
+    in
+    pair
+      (flatten_l (List.map head c.Afun.guards))
+      (list_size (int_range 0 6) any_value_gen)
+    >|= fun (heads, tail) -> (fn, c, heads, tail))
+
+let prop_clauses_agree =
+  qcheck_case ~count:1000 "every clause agrees with apply" clause_instance_gen
+    (fun (fn, c, heads, tail) ->
+      let pick = List.map (List.nth heads) in
+      Value.equal
+        (Value.Seq (fn.Afun.apply (heads @ tail)))
+        (Value.Seq (pick c.Afun.emit @ fn.Afun.apply (pick c.Afun.pass @ tail))))
+
+let test_clauses_shorten () =
+  check_bool "every built-in function has clauses" true
+    (List.for_all
+       (fun fn -> fn.Afun.equations <> [])
+       (Afun.to_list Afun.default_env));
+  List.iter
+    (fun (fn, c) ->
+      check_bool
+        (fn.Afun.name ^ ": fewer heads passed back than matched")
+        true
+        (List.length c.Afun.pass < List.length c.Afun.guards))
+    clauses
 
 (* ---- Assertion evaluation ------------------------------------------- *)
 
@@ -294,6 +343,9 @@ let () =
           prop_f_output_is_data;
           prop_f_length;
           Alcotest.test_case "other functions" `Quick test_other_afuns;
+          prop_clauses_agree;
+          Alcotest.test_case "clauses shorten the argument" `Quick
+            test_clauses_shorten;
         ] );
       ( "evaluation",
         [

@@ -38,6 +38,23 @@ let test_vset_enumerate () =
   check_bool "nat union infinite" false
     (Vset.is_finite (Vset.Union (Vset.Nat, Vset.Bools)))
 
+let test_vset_subset () =
+  let signals = Vset.Enum [ Value.ack; Value.nack ] in
+  check_bool "singleton in signals" true (Vset.subset (Vset.Enum [ Value.ack ]) signals);
+  check_bool "signals not in singleton" false
+    (Vset.subset signals (Vset.Enum [ Value.ack ]));
+  check_bool "nat in nat" true (Vset.subset Vset.Nat Vset.Nat);
+  check_bool "nat in a union with nat" true
+    (Vset.subset Vset.Nat (Vset.Union (signals, Vset.Nat)));
+  check_bool "nat not in a range" false (Vset.subset Vset.Nat (Vset.Range (0, 1000)));
+  check_bool "huge range in nat" true (Vset.subset (Vset.Range (0, max_int - 1)) Vset.Nat);
+  check_bool "negative range not in nat" false (Vset.subset (Vset.Range (-1, 3)) Vset.Nat);
+  check_bool "empty range anywhere" true (Vset.subset (Vset.Range (5, 4)) signals);
+  check_bool "range split across a union" true
+    (Vset.subset (Vset.Range (0, 3))
+       (Vset.Union (Vset.Range (0, 1), Vset.Enum [ Value.Int 2; Value.Int 3 ])));
+  check_bool "signals not in nat" false (Vset.subset signals Vset.Nat)
+
 (* ---- Expr ----------------------------------------------------------- *)
 
 let rho = Valuation.of_list [ ("x", Value.Int 5); ("y", Value.Int 2) ]
@@ -249,6 +266,7 @@ let () =
         [
           Alcotest.test_case "membership" `Quick test_vset_mem;
           Alcotest.test_case "enumeration" `Quick test_vset_enumerate;
+          Alcotest.test_case "subset" `Quick test_vset_subset;
         ] );
       ( "expr",
         [

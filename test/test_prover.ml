@@ -163,10 +163,108 @@ let test_protocol_obligations () =
   in
   check_bool "wrong obligation refuted" true (is_refuted (prove ob_bad))
 
+(* The four consequence shapes of `cspc prove -v examples/protocol.csp`,
+   each closed only by f's defining equations, and near-misses that
+   must not be proved exactly. *)
+let f t = Term.App ("f", t)
+let output = Term.chan "output"
+let ( ^: ) x s = Term.Cons (x, s)
+let var x = Term.Var x
+let ack_set = Vset.Enum [ Value.ack ]
+let nack_set = Vset.Enum [ Value.nack ]
+
+(* forall x:xs. forall v:vs. fn(wire) <= hyp_rhs => fn(x^v^wire) <= x^input *)
+let sender_step ?(fn = "f") ?(x = Some Vset.Nat) vs hyp_rhs =
+  let body =
+    Assertion.Forall
+      ( "v",
+        vs,
+        Assertion.Imp
+          ( Assertion.Prefix (Term.App (fn, wire), hyp_rhs),
+            Assertion.Prefix
+              (Term.App (fn, var "x" ^: var "v" ^: wire), var "x" ^: input) ) )
+  in
+  match x with Some m -> Assertion.Forall ("x", m, body) | None -> body
+
+let sender_ack = sender_step ack_set input
+let q_nack = sender_step nack_set (var "x" ^: input)
+
+let receiver_step signal concl_lhs =
+  Assertion.Forall
+    ( "v",
+      Vset.Nat,
+      Assertion.Imp
+        ( Assertion.Prefix (output, f wire),
+          Assertion.Prefix (concl_lhs, f (var "v" ^: Term.Const signal ^: wire)) ) )
+
+let receiver_ack = receiver_step Value.ack (var "v" ^: output)
+let receiver_nack = receiver_step Value.nack output
+let def_f_shapes = [ sender_ack; q_nack; receiver_ack; receiver_nack ]
+
+let def_f_near_misses =
+  [
+    (* the signal binder is not a singleton: {ACK, NACK} *)
+    sender_step (Vset.Enum [ Value.ack; Value.nack ]) input;
+    (* a signal in the data position *)
+    sender_step ~x:(Some ack_set) ack_set input;
+    (* the sender's ACK step at a NACK: false *)
+    sender_step nack_set input;
+    (* the data head has no binder *)
+    sender_step ~x:None ack_set input;
+  ]
+
+(* A binder hides the hypotheses about the variable it rebinds. *)
+let shadowing_goals =
+  let x = var "x" in
+  let a = Term.chan "a" and b = Term.chan "b" in
+  let r03 = Vset.Range (0, 3) in
+  [
+    Assertion.Forall
+      ( "x",
+        Vset.Nat,
+        Assertion.Imp
+          ( Assertion.Eq (x, Term.int 0),
+            Assertion.Forall ("x", Vset.Nat, Assertion.Eq (x, Term.int 0)) ) );
+    Assertion.Forall
+      ( "x",
+        r03,
+        Assertion.Imp
+          ( Assertion.Prefix (a, x ^: b),
+            Assertion.Forall ("x", r03, Assertion.Prefix (a, x ^: b)) ) );
+  ]
+
+let test_defining_equations () =
+  List.iter
+    (fun g ->
+      check_bool (Assertion.to_string g ^ " proved") true (is_proved (prove g)))
+    def_f_shapes;
+  List.iter
+    (fun g ->
+      check_bool (Assertion.to_string g ^ " not proved") false
+        (is_proved (prove g)))
+    def_f_near_misses
+
+let test_no_equations_no_unfolding () =
+  (* g computes f but has no defining equations: the exact phase must
+     leave g(x^v^wire) alone, so the true goal only survives testing *)
+  let g = { Afun.protocol_cancel with Afun.name = "g"; equations = [] } in
+  let config =
+    { Prover.default_config with Prover.funs = Afun.register g Afun.default_env }
+  in
+  check_bool "opaque g is tested, not unfolded" true
+    (is_unknown
+       (Prover.prove ~config (Prover.goal (sender_step ~fn:"g" ack_set input))))
+
+let test_shadowing () =
+  List.iter
+    (fun g ->
+      check_bool (Assertion.to_string g ^ " not proved") false
+        (is_proved (prove g));
+      check_bool (Assertion.to_string g ^ " refuted") true (is_refuted (prove g)))
+    shadowing_goals
+
 let test_transitivity_consequence () =
   (* §2.2(3) step (4): f(wire) <= input & output <= f(wire) => output <= input *)
-  let f t = Term.App ("f", t) in
-  let output = Term.chan "output" in
   let concl =
     Assertion.Imp
       ( Assertion.And
@@ -193,50 +291,52 @@ let test_custom_config () =
     (is_refuted (Prover.prove ~config:strong (Prover.goal concl)))
 
 let prop_no_false_proofs =
-  (* soundness of the syntactic phase: whenever the prover says Proved,
+  (* soundness of the exact phase: whenever the prover says Proved,
      random semantic testing agrees *)
-  qcheck_case ~count:100 "Proved goals are never falsified by testing"
+  qcheck_case ~count:200 "Proved goals are never falsified by testing"
     QCheck2.Gen.(
       oneofl
-        [
-          Assertion.Prefix (wire, wire);
-          Assertion.Prefix (Term.empty_seq, input);
-          Assertion.Imp
-            ( Assertion.Prefix (wire, input),
-              Assertion.Prefix
-                (Term.Cons (Term.int 1, wire), Term.Cons (Term.int 1, input)) );
-          Assertion.Forall
-            ("x", Vset.Range (0, 2),
-             Assertion.Mem (Term.Var "x", Vset.Range (0, 2)));
-        ])
+        ([
+           Assertion.Prefix (wire, wire);
+           Assertion.Prefix (Term.empty_seq, input);
+           Assertion.Imp
+             ( Assertion.Prefix (wire, input),
+               Assertion.Prefix
+                 (Term.Cons (Term.int 1, wire), Term.Cons (Term.int 1, input)) );
+           Assertion.Forall
+             ("x", Vset.Range (0, 2),
+              Assertion.Mem (Term.Var "x", Vset.Range (0, 2)));
+         ]
+        @ def_f_shapes @ def_f_near_misses @ shadowing_goals))
     (fun goal ->
       match prove goal with
       | Prover.Proved _ ->
-        (* re-verify on random histories *)
+        (* re-verify on random histories, drawn so that the goals'
+           hypotheses (wire <= input, f(wire) <= input,
+           output <= f(wire)) often hold *)
         let st = Random.State.make [| 7 |] in
-        let rand_seq () =
-          List.init (Random.State.int st 6) (fun _ ->
-              Value.Int (Random.State.int st 3))
-        in
+        let values = [| Value.Int 0; Value.Int 1; Value.Int 2; Value.ack; Value.nack |] in
+        let rand_value () = values.(Random.State.int st (Array.length values)) in
+        let rand_seq () = List.init (Random.State.int st 6) (fun _ -> rand_value ()) in
+        let set c vs h = History.set h (Channel.simple c) vs in
         List.for_all
           (fun _ ->
+            let w = rand_seq () in
+            let fw = Afun.protocol_cancel.Afun.apply w in
+            let extend s = if Random.State.bool st then s @ rand_seq () else rand_seq () in
             let hist =
-              history_of_pairs []
-              |> (fun h -> History.set h (Channel.simple "wire") (rand_seq ()))
-              |> fun h ->
-              let w = History.get h (Channel.simple "wire") in
-              (* make wire a prefix of input half the time *)
-              if Random.State.bool st then
-                History.set h (Channel.simple "input") (w @ rand_seq ())
-              else History.set h (Channel.simple "input") (rand_seq ())
+              History.empty |> set "wire" w
+              |> set "input" (extend (if Random.State.bool st then w else fw))
+              |> set "output"
+                   (List.filteri (fun i _ -> i < Random.State.int st 4) fw)
+              |> set "a" (rand_seq ()) |> set "b" (rand_seq ())
             in
-            let holds_hyp =
-              match goal with
-              | Assertion.Imp (h, _) ->
-                Assertion.eval (Term.ctx ~hist ()) h
-              | _ -> true
+            let rho =
+              List.fold_left
+                (fun r x -> Valuation.add x (rand_value ()) r)
+                Valuation.empty (Assertion.free_vars goal)
             in
-            (not holds_hyp) || Assertion.eval (Term.ctx ~hist ()) goal)
+            Assertion.eval (Term.ctx ~rho ~hist ()) goal)
           (List.init 50 Fun.id)
       | _ -> true)
 
@@ -268,6 +368,11 @@ let () =
             test_protocol_obligations;
           Alcotest.test_case "transitive consequence" `Quick
             test_transitivity_consequence;
+          Alcotest.test_case "def f by defining equations" `Quick
+            test_defining_equations;
+          Alcotest.test_case "no equations, no unfolding" `Quick
+            test_no_equations_no_unfolding;
         ] );
+      ("binders", [ Alcotest.test_case "shadowing drops hypotheses" `Quick test_shadowing ]);
       ("soundness", [ prop_no_false_proofs ]);
     ]
