@@ -7,20 +7,21 @@
    experiment re-derives the corresponding claim and prints a
    paper-vs-measured line.  EXPERIMENTS.md records the outputs.
 
-   Part 2 holds the ablations (A1–A2), the P11–P16 performance legs
-   (each writes its BENCH_*.json) and a Bechamel timing suite (P1–P7)
+   Part 2 holds the ablations (A1–A2), the two legs that measure what
+   benchmark/ does not — P12, the cost of dormant telemetry
+   (BENCH_obs.json), and P14, guided against blind fuzzing
+   (BENCH_fuzz.json) — and a Bechamel timing suite (P1–P7)
    characterising the cost of the semantic operations, the bounded
-   checker, the proof system and the simulator.  BENCH_closure.json
-   (P8) and BENCH_procir.json (P10) are frozen records of comparisons
-   no longer re-run.
+   checker, the proof system and the simulator.  The verifier's speed,
+   end to end and per layer, is measured by benchmark/ alone.  The
+   other BENCH_*.json files (P8, P10, P11, P13, P15, P16) are frozen
+   records of legs no longer run.
 
    Run with: dune exec bench/main.exe            (everything)
              dune exec bench/main.exe -- quick   (part 1 only)
-             dune exec bench/main.exe -- p11     (parallel scaling only)
-             dune exec bench/main.exe -- p13     (compiled successor engine)
+             dune exec bench/main.exe -- p12     (observability overhead)
              dune exec bench/main.exe -- p14     (coverage-guided fuzzing)
-             dune exec bench/main.exe -- p16     (counter abstraction)
-             dune exec bench/main.exe -- smoke   (E11 + P11–P16, tiny
+             dune exec bench/main.exe -- smoke   (E11, P12 and P14 at tiny
                                                   sizes; @bench-smoke) *)
 
 open Csp
@@ -602,192 +603,6 @@ let time_ms ?(repeats = 2) ?(cold = false) f =
   !best *. 1000.0
 
 (* ---------------------------------------------------------------------- *)
-(* P11: parallel LTS exploration — scaling over domain counts              *)
-(* ---------------------------------------------------------------------- *)
-
-type p11_row = {
-  p11_workload : string;
-  p11_domains : int;
-  p11_ms : float;
-  p11_states : int;
-  p11_transitions : int;
-  p11_speedup : float;  (* vs the 1-domain run of the same workload *)
-  p11_identical : bool;  (* DOT output byte-identical to sequential *)
-}
-
-type p11_warm = {
-  warm_workload : string;
-  warm_cold_ms : float;
-  warm_warm_ms : float;
-  warm_hits : int;
-  warm_misses : int;
-}
-
-let write_p11_json path ~host_domains ~underpowered ~warm ~counters rows =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"p11_parallel\",\n  \"host_domains\": %d,\n  \
-     \"underpowered_host\": %b,\n  \"results\": [\n"
-    host_domains underpowered;
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"workload\": \"%s\", \"domains\": %d, \"ms\": %.3f, \
-         \"states\": %d, \"transitions\": %d, \"speedup_vs_seq\": %.2f, \
-         \"identical_to_seq\": %b }%s\n"
-        r.p11_workload r.p11_domains r.p11_ms r.p11_states r.p11_transitions
-        r.p11_speedup r.p11_identical
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n  \"warm_config\": { \"workload\": \"%s\", \"cold_ms\": %.3f, \
-     \"warm_ms\": %.3f, \"trans_hits\": %d, \"trans_misses\": %d },\n"
-    warm.warm_workload warm.warm_cold_ms warm.warm_warm_ms warm.warm_hits
-    warm.warm_misses;
-  Printf.fprintf oc "  \"snapshot\": %s\n}\n" (counters_json counters);
-  close_out oc
-
-let p11_parallel ?(smoke = false) () =
-  section "P11: parallel LTS exploration (work-stealing frontier)";
-  let host = Domain.recommended_domain_count () in
-  (* Cold legs run on fresh configurations (per-config caches empty):
-     successor derivation is the work being stolen, and a warm
-     trans_cache would reduce every run to table lookups.  The warm
-     leg below measures exactly that effect, deliberately. *)
-  let workloads =
-    let chain n =
-      ( Printf.sprintf "copier-chain-%d" n,
-        fun () ->
-          let defs, net = Paper.Copier.chain_defs n in
-          (Step.config ~sampler:(Sampler.nat_bound 2) defs, net) )
-    and philosophers n =
-      ( Printf.sprintf "philosophers-%d" n,
-        fun () ->
-          let ph = Paper.Philosophers.make ~n ~left_handed_last:true () in
-          ( Step.config ~sampler:(Sampler.nat_bound n) ph.Paper.Philosophers.defs,
-            ph.Paper.Philosophers.network ) )
-    and token_ring n =
-      ( Printf.sprintf "token-ring-%d" n,
-        fun () ->
-          let m = Models.Token_ring.make ~n in
-          ( Step.config ~sampler:(Sampler.nat_bound 2)
-              m.Models.Token_ring.defs,
-            m.Models.Token_ring.network ) )
-    in
-    if smoke then [ chain 4; philosophers 3; token_ring 4 ]
-    else [ chain 8; philosophers 4; token_ring 10 ]
-  in
-  let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let max_benched = List.fold_left max 1 domain_counts in
-  let underpowered = host < max_benched in
-  result "  host_domains: %d (benching up to %d domains)%s\n" host max_benched
-    (if underpowered then
-       " — UNDERPOWERED HOST: speedups are bounded by 1.0, read them as \
-        overhead measurements"
-     else "");
-  let max_states = 50_000 in
-  let rows = ref [] in
-  let warm, counters =
-    Obs.delta_snapshot @@ fun () ->
-    (* Sequential references, one per workload: the byte-identity
-       oracle and the speedup baseline. *)
-    let references =
-      List.map
-        (fun (label, mk) ->
-          let cfg, net = mk () in
-          (label, Lts.to_dot (Lts.explore ~max_states cfg net)))
-        workloads
-    in
-    let seq_ms : (string, float) Hashtbl.t = Hashtbl.create 8 in
-    result "  %-20s %8s %10s %8s %8s %10s %10s\n" "workload" "domains" "ms"
-      "states" "trans" "speedup" "identical";
-    (* One pool per domain count, shared across every workload leg: pool
-       construction (domain spawn) is paid once, not once per cell, so
-       the timings measure exploration, not setup. *)
-    List.iter
-      (fun domains ->
-        Pool.with_pool ~domains (fun pool ->
-            List.iter
-              (fun (label, mk) ->
-                let ref_dot = List.assoc label references in
-                let run () =
-                  let cfg, net = mk () in
-                  Lts.explore ~max_states ~pool cfg net
-                in
-                (* warm-up, then best-of-2 on cold configurations *)
-                let lts = run () in
-                let ms =
-                  let best = ref infinity in
-                  for _ = 1 to 2 do
-                    let t0 = Unix.gettimeofday () in
-                    ignore (Sys.opaque_identity (run ()));
-                    let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-                    if dt < !best then best := dt
-                  done;
-                  !best
-                in
-                if domains = 1 then Hashtbl.replace seq_ms label ms;
-                let identical = String.equal (Lts.to_dot lts) ref_dot in
-                let speedup =
-                  match Hashtbl.find_opt seq_ms label with
-                  | Some s when ms > 0.0 -> s /. ms
-                  | _ -> 1.0
-                in
-                result "  %-20s %8d %10.1f %8d %8d %9.2fx %10b\n" label domains
-                  ms (Lts.num_states lts) (Lts.num_transitions lts) speedup
-                  identical;
-                rows :=
-                  {
-                    p11_workload = label;
-                    p11_domains = domains;
-                    p11_ms = ms;
-                    p11_states = Lts.num_states lts;
-                    p11_transitions = Lts.num_transitions lts;
-                    p11_speedup = speedup;
-                    p11_identical = identical;
-                  }
-                  :: !rows)
-              workloads))
-      domain_counts;
-    (* Warm-config leg: the per-config transition cache pays off only
-       when one configuration serves several explorations (repeated
-       [cspc graph] queries, refinement checks against the same spec).
-       Explore twice on the same configuration and report the second
-       run's time and the cache delta — hits > 0 is also the regression
-       guard for the cache keying (see test_step). *)
-    let warm =
-      let label, mk = List.hd workloads in
-      let cfg, net = mk () in
-      let time f =
-        let t0 = Unix.gettimeofday () in
-        ignore (Sys.opaque_identity (f ()));
-        (Unix.gettimeofday () -. t0) *. 1000.0
-      in
-      let cold_ms = time (fun () -> Lts.explore ~max_states cfg net) in
-      let before = Step.stats () in
-      let warm_ms = time (fun () -> Lts.explore ~max_states cfg net) in
-      let after = Step.stats () in
-      {
-        warm_workload = label;
-        warm_cold_ms = cold_ms;
-        warm_warm_ms = warm_ms;
-        warm_hits = after.Step.trans_hits - before.Step.trans_hits;
-        warm_misses = after.Step.trans_misses - before.Step.trans_misses;
-      }
-    in
-    result
-      "  warm-config (%s): cold %.1f ms, warm %.1f ms — trans-cache %d hits, \
-       %d misses on the warm run\n"
-      warm.warm_workload warm.warm_cold_ms warm.warm_warm_ms warm.warm_hits
-      warm.warm_misses;
-    warm
-  in
-  write_p11_json "BENCH_parallel.json" ~host_domains:host ~underpowered ~warm
-    ~counters (List.rev !rows);
-  result "  wrote BENCH_parallel.json\n"
-
-(* ---------------------------------------------------------------------- *)
 (* P12: observability overhead — the disabled path must be free            *)
 (* ---------------------------------------------------------------------- *)
 
@@ -940,138 +755,6 @@ let p12_obs_overhead ?(smoke = false) () =
     (ok (worst <= 2.0))
 
 (* ---------------------------------------------------------------------- *)
-(* P13: compiled successor engine vs interpreted exploration               *)
-(* ---------------------------------------------------------------------- *)
-
-(* The SPIN-style comparison: one [Compiled.compile] pass flattens the
-   reachable state space into CSR successor tables, then every explore
-   is array walks over a dense visited set.  The interpreted side runs
-   on a fresh configuration per timed run (cold per-config caches —
-   the cost one [cspc graph] invocation pays); the compiled side
-   amortises its one compile over repeated explores, which is the
-   design point, so compile time is reported as its own column. *)
-
-type p13_row = {
-  p13_workload : string;
-  p13_states : int;
-  p13_transitions : int;
-  p13_interp_ms : float;
-  p13_compile_ms : float;
-  p13_compiled_ms : float;
-  p13_speedup : float; (* interpreted / compiled explore *)
-  p13_interp_sps : float; (* states per second, interpreted *)
-  p13_compiled_sps : float; (* states per second, compiled *)
-  p13_fallbacks : int;
-  p13_identical : bool; (* DOT byte-identical to interpreted *)
-}
-
-let write_p13_json path ~counters rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"p13_compiled\",\n  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"workload\": \"%s\", \"states\": %d, \"transitions\": %d, \
-         \"interpreted_ms\": %.3f, \"compile_ms\": %.3f, \
-         \"compiled_explore_ms\": %.3f, \"speedup\": %.2f, \
-         \"states_per_sec_interpreted\": %.0f, \"states_per_sec_compiled\": \
-         %.0f, \"fallbacks\": %d, \"identical_to_interpreted\": %b }%s\n"
-        r.p13_workload r.p13_states r.p13_transitions r.p13_interp_ms
-        r.p13_compile_ms r.p13_compiled_ms r.p13_speedup r.p13_interp_sps
-        r.p13_compiled_sps r.p13_fallbacks r.p13_identical
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"snapshot\": %s\n}\n" (counters_json counters);
-  close_out oc
-
-let p13_compiled ?(smoke = false) () =
-  section "P13: compiled successor engine (flat tables) vs interpreter";
-  let workloads =
-    let chain n =
-      ( Printf.sprintf "copier-chain-%d" n,
-        fun () ->
-          let defs, net = Paper.Copier.chain_defs n in
-          (Step.config ~sampler:(Sampler.nat_bound 2) defs, net) )
-    and philosophers n =
-      ( Printf.sprintf "philosophers-%d" n,
-        fun () ->
-          let ph = Paper.Philosophers.make ~n ~left_handed_last:true () in
-          ( Step.config ~sampler:(Sampler.nat_bound n) ph.Paper.Philosophers.defs,
-            ph.Paper.Philosophers.network ) )
-    in
-    if smoke then [ chain 4; philosophers 3 ]
-    else [ chain 6; chain 8; philosophers 4 ]
-  in
-  let max_states = 100_000 in
-  let repeats = if smoke then 2 else 3 in
-  let best_of f =
-    let best = ref infinity in
-    for _ = 1 to repeats do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let rows = ref [] in
-  result "  %-18s %8s %8s %10s %10s %10s %8s %12s %12s\n" "workload" "states"
-    "trans" "interp(ms)" "compile" "explore" "speedup" "interp-st/s"
-    "compiled-st/s";
-  let (), counters =
-    Obs.delta_snapshot @@ fun () ->
-    List.iter
-      (fun (label, mk) ->
-        let reference =
-          let cfg, net = mk () in
-          Lts.explore ~max_states cfg net
-        in
-        let ref_dot = Lts.to_dot reference in
-        (* interpreted: fresh configuration per run, like one CLI call *)
-        let interp_ms =
-          best_of (fun () ->
-              let cfg, net = mk () in
-              Lts.explore ~max_states cfg net)
-        in
-        (* compiled: one compile amortised over the explores *)
-        let cfg, net = mk () in
-        let compiled = Compiled.compile cfg net in
-        let compiled_ms =
-          best_of (fun () -> Lts.explore ~max_states ~compiled cfg net)
-        in
-        let lts = Lts.explore ~max_states ~compiled cfg net in
-        let identical = String.equal (Lts.to_dot lts) ref_dot in
-        let states = Lts.num_states lts in
-        let sps ms =
-          if ms > 0.0 then float_of_int states /. (ms /. 1000.0) else 0.0
-        in
-        let speedup = if compiled_ms > 0.0 then interp_ms /. compiled_ms else 1.0 in
-        result "  %-18s %8d %8d %10.1f %10.1f %10.2f %7.1fx %12.0f %12.0f\n"
-          label states (Lts.num_transitions lts) interp_ms
-          (Compiled.compile_ms compiled)
-          compiled_ms speedup (sps interp_ms) (sps compiled_ms);
-        rows :=
-          {
-            p13_workload = label;
-            p13_states = states;
-            p13_transitions = Lts.num_transitions lts;
-            p13_interp_ms = interp_ms;
-            p13_compile_ms = Compiled.compile_ms compiled;
-            p13_compiled_ms = compiled_ms;
-            p13_speedup = speedup;
-            p13_interp_sps = sps interp_ms;
-            p13_compiled_sps = sps compiled_ms;
-            p13_fallbacks = Compiled.fallbacks compiled;
-            p13_identical = identical;
-          }
-          :: !rows)
-      workloads
-  in
-  write_p13_json "BENCH_compiled.json" ~counters (List.rev !rows);
-  result "  wrote BENCH_compiled.json\n"
-
-(* ---------------------------------------------------------------------- *)
 (* P14: coverage-guided fuzzing vs blind generation                        *)
 (* ---------------------------------------------------------------------- *)
 
@@ -1160,314 +843,6 @@ let p14_fuzz_coverage ?(smoke = false) () =
     (if guided.p14_distinct > blind.p14_distinct then "" else "  (NO GAIN)");
   write_p14_json "BENCH_fuzz.json" ~seed ~counters [ guided; blind ];
   result "  wrote BENCH_fuzz.json\n"
-
-(* ---------------------------------------------------------------------- *)
-(* P15: the verification service — replayed traffic, cold vs warm start    *)
-(* ---------------------------------------------------------------------- *)
-
-(* [cspc serve] exists to amortise engine warm-up across requests, so
-   the two numbers that justify it are sustained throughput on a mixed
-   request stream (the same stream `cspc client --bench` and the CI
-   smoke leg replay) and the first-request latency of a server started
-   [--warm] from a snapshot versus one starting cold.  The probe
-   request is a compiled-engine graph exploration — the most
-   compile-heavy item in the stream — so cold-vs-warm isolates exactly
-   the work the snapshot replays. *)
-
-module Server = Csp_server.Server
-module Workload = Csp_server.Workload
-module Wjson = Csp_persist.Json
-
-let p15_start_server cfg =
-  let t =
-    match Server.create cfg with Ok t -> t | Error m -> failwith m
-  in
-  let ready = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        Server.serve ~ready:(fun () -> Atomic.set ready true) t cfg)
-  in
-  while not (Atomic.get ready) do
-    Domain.cpu_relax ()
-  done;
-  d
-
-let p15_request socket payload =
-  match Workload.connect socket with
-  | Error m -> failwith ("p15: connect: " ^ m)
-  | Ok conn ->
-    let r = Workload.request conn (Wjson.Obj payload) in
-    Workload.close conn;
-    (match r with
-    | Ok resp when Wjson.mem_bool "ok" resp = Some true -> resp
-    | Ok resp -> failwith ("p15: request refused: " ^ Wjson.to_string resp)
-    | Error m -> failwith ("p15: request: " ^ m))
-
-let p15_stop_server socket d =
-  (match Workload.connect socket with
-  | Ok conn ->
-    ignore (Workload.request conn (Wjson.Obj [ ("op", Wjson.str "shutdown") ]));
-    Workload.close conn
-  | Error _ -> ());
-  Domain.join d
-
-let p15_time_first socket probe =
-  match Workload.time_first ~socket probe with
-  | Ok (ms, resp) when Wjson.mem_bool "ok" resp = Some true -> ms
-  | Ok (_, resp) -> failwith ("p15: probe refused: " ^ Wjson.to_string resp)
-  | Error m -> failwith ("p15: probe: " ^ m)
-
-let write_p15_json path ~jobs ~connections ~repeat ~distinct ~cold_ms ~warm_ms
-    ~counters (s : Workload.summary) =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"p15_serve\",\n  \"jobs\": %d,\n  \"connections\": \
-     %d,\n  \"repeat\": %d,\n  \"distinct_items\": %d,\n  \"requests\": \
-     %d,\n  \"errors\": %d,\n  \"wall_s\": %.3f,\n  \"req_per_s\": %.1f,\n  \
-     \"p50_ms\": %.3f,\n  \"p99_ms\": %.3f,\n  \"cold_first_ms\": %.3f,\n  \
-     \"warm_first_ms\": %.3f,\n  \"warm_faster_than_cold\": %b,\n  \
-     \"snapshot\": %s\n}\n"
-    jobs connections repeat distinct s.Workload.requests s.Workload.errors
-    s.Workload.wall_s s.Workload.req_per_s s.Workload.p50_ms s.Workload.p99_ms
-    cold_ms warm_ms (warm_ms < cold_ms)
-    (counters_json counters);
-  close_out oc
-
-let p15_serve ?(smoke = false) () =
-  section "P15: cspc serve — replayed traffic, cold vs warm first request";
-  let tmp = Filename.get_temp_dir_name () in
-  let socket =
-    Filename.concat tmp (Printf.sprintf "cspc-p15-%d.sock" (Unix.getpid ()))
-  in
-  let snapshot =
-    Filename.concat tmp (Printf.sprintf "cspc-p15-%d.snap" (Unix.getpid ()))
-  in
-  List.iter
-    (fun f -> if Sys.file_exists f then Sys.remove f)
-    [ socket; snapshot ];
-  let jobs = 2 and connections = 2 in
-  let repeat = if smoke then 1 else 3 in
-  let items = Workload.mixed ~stress:(not smoke) ~sources:[] () in
-  let probe =
-    let is_graph (it : Workload.item) =
-      let n = String.length it.label in
-      n >= 6 && String.sub it.label (n - 6) 6 = ":graph"
-    in
-    (List.find is_graph items).Workload.request
-  in
-  (* cold: a fresh server's first request pays parse + Engine.compile *)
-  let (cold_ms, warm_ms, summary), counters =
-    Obs.delta_snapshot @@ fun () ->
-    let d = p15_start_server (Server.config ~jobs socket) in
-    let cold_ms = p15_time_first socket probe in
-    let summary =
-      match Workload.replay ~connections ~repeat ~socket items with
-      | Ok (_, s) -> s
-      | Error m -> failwith ("p15: replay: " ^ m)
-    in
-    ignore
-      (p15_request socket
-         [ ("op", Wjson.str "save"); ("path", Wjson.str snapshot) ]);
-    p15_stop_server socket d;
-    (* warm: [--warm] replays the snapshot before the socket opens, so
-       the first request runs against hot caches *)
-    let d2 = p15_start_server (Server.config ~jobs ~warm:snapshot socket) in
-    let warm_ms = p15_time_first socket probe in
-    p15_stop_server socket d2;
-    Sys.remove snapshot;
-    (cold_ms, warm_ms, summary)
-  in
-  result "  workload: %d distinct items x%d over %d connections, jobs=%d\n"
-    (List.length items) repeat connections jobs;
-  result "  %8d requests  %d errors  %8.1f req/s  p50 %6.2f ms  p99 %6.2f ms\n"
-    summary.Workload.requests summary.Workload.errors
-    summary.Workload.req_per_s summary.Workload.p50_ms summary.Workload.p99_ms;
-  result "  first request: cold %.1f ms, warm %.1f ms — warm faster: %s\n"
-    cold_ms warm_ms
-    (ok (warm_ms < cold_ms));
-  write_p15_json "BENCH_serve.json" ~jobs ~connections ~repeat
-    ~distinct:(List.length items) ~cold_ms ~warm_ms ~counters summary;
-  result "  wrote BENCH_serve.json\n"
-
-(* ---------------------------------------------------------------------- *)
-(* P16: counter abstraction — flat quotient vs superlinear concrete        *)
-(* ---------------------------------------------------------------------- *)
-
-(* The whole point of lib/abstraction: the concrete state space of a
-   replica family grows with n (exactly 2^n for the workers pool)
-   while the counter-abstract quotient saturates at the cutoff.  Each
-   row explores both sides of one (family, n) pair and re-checks the
-   soundness inclusion — every erased concrete trace must be a trace
-   of the abstract LTS — so the emitted JSON doubles as a CI gate:
-   any [sound_vs_concrete: false], or a ring row at n ≥ 8 whose
-   abstract side is not strictly smaller than the concrete one, is a
-   bug.  A final record times [check_family] certifying the ring for
-   every n ≤ 32 in one run. *)
-
-type p16_row = {
-  p16_family : string;
-  p16_n : int;
-  p16_concrete_states : int;
-  p16_concrete_complete : bool;
-  p16_concrete_ms : float;
-  p16_abstract_states : int;
-  p16_collapses : int;
-  p16_abstract_ms : float;
-  p16_sound : bool;
-}
-
-let write_p16_json path rows ~check_model ~check_formula ~check_classes
-    ~check_certified ~check_ms ~counters =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"p16_abstraction\",\n  \"results\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"family\": \"%s\", \"n\": %d, \"concrete_states\": %d, \
-         \"concrete_complete\": %b, \"concrete_ms\": %.3f, \
-         \"abstract_states\": %d, \"omega_collapses\": %d, \
-         \"abstract_ms\": %.3f, \"abstract_lt_concrete\": %b, \
-         \"sound_vs_concrete\": %b }%s\n"
-        r.p16_family r.p16_n r.p16_concrete_states r.p16_concrete_complete
-        r.p16_concrete_ms r.p16_abstract_states r.p16_collapses
-        r.p16_abstract_ms
-        (r.p16_abstract_states < r.p16_concrete_states)
-        r.p16_sound
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n  \"family_check\": { \"model\": \"%s\", \"formula\": \"%s\", \
-     \"classes\": %d, \"certified\": %b, \"ms\": %.3f },\n  \"snapshot\": \
-     %s\n}\n"
-    check_model check_formula check_classes check_certified check_ms
-    (counters_json counters);
-  close_out oc
-
-let p16_abstraction ?(smoke = false) () =
-  section "P16: counter abstraction — abstract quotient vs concrete product";
-  let (rows, check_formula, check_classes, check_certified, check_ms), counters =
-    Obs.delta_snapshot @@ fun () ->
-    let time_ms f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      ((Unix.gettimeofday () -. t0) *. 1000., r)
-    in
-    let concrete name ~n =
-      match name with
-      | "token-ring" ->
-        let m = Models.Token_ring.make ~n in
-        (m.Models.Token_ring.defs, m.Models.Token_ring.network)
-      | "leader" ->
-        let m = Models.Leader.make ~n in
-        (m.Models.Leader.defs, m.Models.Leader.network)
-      | "workers" ->
-        let m = Models.Workers.make ~n in
-        (m.Models.Workers.defs, m.Models.Workers.network)
-      | other -> failwith ("p16: no concrete instance for " ^ other)
-    in
-    let cases =
-      if smoke then
-        [ ("token-ring", [ 2; 4; 8 ]); ("leader", [ 2; 3 ]);
-          ("workers", [ 2; 4; 8 ]) ]
-      else
-        [ ("token-ring", [ 2; 4; 8; 16 ]); ("leader", [ 2; 4; 6 ]);
-          ("workers", [ 2; 4; 8; 16 ]) ]
-    in
-    let sound_depth = 3 in
-    let rows =
-      List.concat_map
-        (fun (name, sizes) ->
-          let fam =
-            match Abstraction.Family.find name with
-            | Some f -> f
-            | None -> failwith ("p16: no family preset " ^ name)
-          in
-          List.map
-            (fun n ->
-              let defs, network = concrete name ~n in
-              let concrete_ms, lts =
-                time_ms (fun () ->
-                    let eng = Engine.create ~nat_bound:2 defs in
-                    let compiled = Engine.compile ~budget:200_000 eng network in
-                    Lts.explore ~max_states:200_000 ~compiled
-                      (Engine.step_config eng) network)
-              in
-              let abstract_ms, r =
-                time_ms (fun () ->
-                    Abstraction.Counter.explore
-                      fam.Abstraction.Family.fam ~n)
-              in
-              (* the inclusion that makes the quotient a sound verdict
-                 carrier: α(concrete traces) ⊆ traces(abstract) *)
-              let cfg =
-                Step.config ~sampler:(Sampler.nat_bound 2) defs
-              in
-              let traces =
-                Closure.to_traces (Step.traces cfg ~depth:sound_depth network)
-              in
-              let sound =
-                List.for_all
-                  (fun tr ->
-                    Abstraction.Counter.accepts r.Abstraction.Counter.lts
-                      (Abstraction.Family.abstract_trace fam tr))
-                  traces
-              in
-              {
-                p16_family = name;
-                p16_n = n;
-                p16_concrete_states = Lts.num_states lts;
-                p16_concrete_complete = lts.Lts.complete;
-                p16_concrete_ms = concrete_ms;
-                p16_abstract_states = r.Abstraction.Counter.quotient_states;
-                p16_collapses = r.Abstraction.Counter.omega_collapses;
-                p16_abstract_ms = abstract_ms;
-                p16_sound = sound;
-              })
-            sizes)
-        cases
-    in
-    result "  %-12s %4s %10s %10s %9s %12s %8s\n" "family" "n" "concrete"
-      "abstract" "collapse" "sound" "abs(ms)";
-    List.iter
-      (fun r ->
-        result "  %-12s %4d %9d%s %10d %9d %12s %8.2f\n" r.p16_family r.p16_n
-          r.p16_concrete_states
-          (if r.p16_concrete_complete then "" else "+")
-          r.p16_abstract_states r.p16_collapses (ok r.p16_sound)
-          r.p16_abstract_ms)
-      rows;
-    (* one run certifying the ring for every n up to 32 *)
-    let fam =
-      match Abstraction.Family.find "token-ring" with
-      | Some f -> f
-      | None -> failwith "p16: no token-ring preset"
-    in
-    let check_formula = "n<=32" in
-    let formula =
-      match Abstraction.Formula.of_string check_formula with
-      | Ok f -> f
-      | Error m -> failwith ("p16: " ^ m)
-    in
-    let check_ms, outcome =
-      time_ms (fun () ->
-          Abstraction.Family.check_family ~depth:(if smoke then 6 else 8) fam
-            ~formula)
-    in
-    let check_classes, check_certified =
-      match outcome with
-      | Ok o ->
-        (List.length o.Abstraction.Family.classes,
-         o.Abstraction.Family.certified)
-      | Error m -> failwith ("p16: family check: " ^ m)
-    in
-    result "  ring for all %s: %d class(es), certified %s in %.1f ms\n"
-      check_formula check_classes (ok check_certified) check_ms;
-    (rows, check_formula, check_classes, check_certified, check_ms)
-  in
-  write_p16_json "BENCH_abstraction.json" rows ~check_model:"token-ring"
-    ~check_formula ~check_classes ~check_certified ~check_ms ~counters;
-  result "  wrote BENCH_abstraction.json\n"
 
 (* ---------------------------------------------------------------------- *)
 (* Part 2: Bechamel timing suites (P1–P6)                                  *)
@@ -1639,32 +1014,16 @@ let () =
   match mode with
   | "smoke" ->
     (* tiny sizes for the @bench-smoke alias: exercises the E11 driver
-       and every P11–P16 leg with its JSON emitter in seconds *)
+       and the P12/P14 legs with their JSON emitters in seconds *)
     e11_compositionality ~sizes:[ 1; 2; 3 ] ();
-    p11_parallel ~smoke:true ();
     p12_obs_overhead ~smoke:true ();
-    p13_compiled ~smoke:true ();
     p14_fuzz_coverage ~smoke:true ();
-    p15_serve ~smoke:true ();
-    p16_abstraction ~smoke:true ();
-    print_newline ()
-  | "p11" ->
-    p11_parallel ();
     print_newline ()
   | "p12" | "obs" ->
     p12_obs_overhead ();
     print_newline ()
-  | "p13" | "compiled" ->
-    p13_compiled ();
-    print_newline ()
   | "p14" | "fuzz" ->
     p14_fuzz_coverage ();
-    print_newline ()
-  | "p15" | "serve" ->
-    p15_serve ();
-    print_newline ()
-  | "p16" | "abstraction" ->
-    p16_abstraction ();
     print_newline ()
   | _ ->
     let quick = mode = "quick" in
@@ -1682,12 +1041,8 @@ let () =
     if not quick then begin
       a1_prover_ablation ();
       a2_closure_ablation ();
-      p11_parallel ();
       p12_obs_overhead ();
-      p13_compiled ();
       p14_fuzz_coverage ();
-      p15_serve ();
-      p16_abstraction ();
       run_timings ()
     end;
     print_newline ()

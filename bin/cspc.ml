@@ -330,7 +330,6 @@ let cmd_fuzz seed count budget oracle_names save replay jobs coverage
 
 module Server = Csp_server.Server
 module Protocol = Csp_server.Protocol
-module Workload = Csp_server.Workload
 module Json = Csp_persist.Json
 
 let cmd_serve socket jobs warm max_frame max_states max_depth max_cases
@@ -347,69 +346,33 @@ let cmd_serve socket jobs warm max_frame max_states max_depth max_cases
   in
   match Server.run ~ready cfg with Ok () -> () | Error m -> die "%s" m
 
-let corpus_sources dir =
-  match Sys.readdir dir with
-  | exception Sys_error m -> die "%s" m
-  | names ->
-    Array.to_list names
-    |> List.filter (fun n -> Filename.check_suffix n ".csp")
-    |> List.sort compare
-    |> List.map (fun n -> (n, slurp (Filename.concat dir n)))
-
-let summary_json (s : Workload.summary) =
-  Json.Obj
-    [
-      ("requests", Json.int s.Workload.requests);
-      ("errors", Json.int s.Workload.errors);
-      ("wall_s", Json.Num s.Workload.wall_s);
-      ("req_per_s", Json.Num s.Workload.req_per_s);
-      ("p50_ms", Json.Num s.Workload.p50_ms);
-      ("p99_ms", Json.Num s.Workload.p99_ms);
-    ]
-
-let cmd_client socket req bench stress repeat connections corpus out telemetry
-    =
+let cmd_client socket req telemetry =
   with_telemetry "client" telemetry @@ fun () ->
-  if bench then begin
-    let sources =
-      match corpus with None -> [] | Some dir -> corpus_sources dir
-    in
-    let items = Workload.mixed ~stress ~sources () in
-    match Workload.replay ~connections ~repeat ~socket items with
+  let line =
+    match req with
+    | Some s -> s
+    | None -> (
+      try input_line stdin
+      with End_of_file -> die "client: no request given (--req or stdin)")
+  in
+  match Json.parse line with
+  | Error m -> die "request is not valid JSON: %s" m
+  | Ok j -> (
+    match Protocol.connect socket with
     | Error m -> die "%s" m
-    | Ok (_, s) ->
-      let line = Json.to_string (summary_json s) in
-      print_endline line;
-      Option.iter (fun p -> write_file p (line ^ "\n")) out;
-      if s.Workload.errors > 0 then exit 1
-  end
-  else begin
-    let line =
-      match req with
-      | Some s -> s
-      | None -> (
-        try input_line stdin
-        with End_of_file -> die "client: no request given (--req or stdin)")
-    in
-    match Json.parse line with
-    | Error m -> die "request is not valid JSON: %s" m
-    | Ok j -> (
-      match Workload.connect socket with
-      | Error m -> die "%s" m
-      | Ok conn ->
-        let resp =
-          match Workload.request conn j with
-          | Ok r -> r
-          | Error m ->
-            Workload.close conn;
-            die "%s" m
-        in
-        Workload.close conn;
-        print_endline (Json.to_string resp);
-        (match Json.mem_bool "ok" resp with
-        | Some true -> ()
-        | _ -> exit 1))
-  end
+    | Ok conn ->
+      let resp =
+        match Protocol.request conn j with
+        | Ok r -> r
+        | Error m ->
+          Protocol.close conn;
+          die "%s" m
+      in
+      Protocol.close conn;
+      print_endline (Json.to_string resp);
+      (match Json.mem_bool "ok" resp with
+      | Some true -> ()
+      | _ -> exit 1))
 
 (* ---- cmdliner glue --------------------------------------------------- *)
 
@@ -784,54 +747,11 @@ let client_cmd =
       & info [ "req" ] ~docv:"JSON"
           ~doc:"One request object to send (default: read a line from stdin)")
   in
-  let bench =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:"Replay the mixed benchmark workload and print a summary \
-                (req/sec, p50/p99 latency) as one JSON line")
-  in
-  let stress =
-    Arg.(
-      value & flag
-      & info [ "stress" ]
-          ~doc:"Use the large model instances of the stress suite in the \
-                --bench workload")
-  in
-  let repeat =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ] ~docv:"N" ~doc:"Replay the --bench workload N times")
-  in
-  let connections =
-    Arg.(
-      value & opt int 1
-      & info [ "connections" ] ~docv:"N"
-          ~doc:"Persistent connections to round-robin --bench requests over")
-  in
-  let corpus =
-    Arg.(
-      value
-      & opt (some dir) None
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:"Add every .csp file of this directory to the --bench \
-                workload")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Also write the --bench summary JSON here")
-  in
   Cmd.v
     (Cmd.info "client"
        ~doc:"Talk to a running cspc serve: send one request (exit status \
-             follows the response), or replay the benchmark workload with \
-             --bench")
-    Term.(
-      const cmd_client $ socket_arg $ req $ bench $ stress $ repeat
-      $ connections $ corpus $ out $ telemetry_arg)
+             follows the response)")
+    Term.(const cmd_client $ socket_arg $ req $ telemetry_arg)
 
 let main =
   Cmd.group

@@ -32,7 +32,6 @@ type t = {
   mutable n_events : int;
   eid_of : int Event.Tbl.t;
   mutable n_fallbacks : int;
-  mutable ms : float;
 }
 
 let root t = t.nodes.(0)
@@ -41,7 +40,6 @@ let n_states t = t.n_states
 let n_transitions t = t.pk_len
 let n_events t = t.n_events
 let fallbacks t = t.n_fallbacks
-let compile_ms t = t.ms
 
 let n_rows t =
   let n = ref 0 in
@@ -144,7 +142,6 @@ let create cfg (root : Proc.t) =
       n_events = 0;
       eid_of = Event.Tbl.create 16;
       n_fallbacks = 0;
-      ms = 0.0;
     }
   in
   ignore (intern_state t root);
@@ -261,7 +258,6 @@ let compile ?(budget = 200_000) ?pool cfg p =
   ignore
     (walk ~max_states:budget ?pool ~fallback:false ~edge:(fun _ _ _ -> ()) t);
   let ms = (Obs.now_ns () -. t0) /. 1e6 in
-  t.ms <- ms;
   Obs.Gauge.set compile_ms_gauge ms;
   Obs.Timer.observe_ns compile_timer (ms *. 1e6);
   t

@@ -77,9 +77,6 @@ val n_events : t -> int
 val fallbacks : t -> int
 (** Rows materialised lazily after {!compile} returned. *)
 
-val compile_ms : t -> float
-(** Wall-clock of the building walk, in milliseconds. *)
-
 val transitions_i :
   t ->
   Csp_lang.Proc.t ->

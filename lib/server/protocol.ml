@@ -91,6 +91,37 @@ let write_frame fd j =
   in
   go 0
 
+(* ---- client ----------------------------------------------------------- *)
+
+type conn = { fd : Unix.file_descr; reader : reader }
+
+(* Responses can be much larger than requests (a stress graph's DOT
+   output runs to megabytes), so the client reads with a far higher
+   frame cap than the server accepts. *)
+let response_max_frame = 64 * 1024 * 1024
+
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> Ok { fd; reader = reader ~max_frame:response_max_frame fd }
+  | exception Unix.Unix_error (e, _, _) ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+
+let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
+
+let request conn j =
+  match write_frame conn.fd j with
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | () -> (
+    match read_frame conn.reader with
+    | `Eof -> Error "server closed the connection"
+    | `Too_large -> Error "response frame too large"
+    | `Frame line -> (
+      match Json.parse line with
+      | Ok j -> Ok j
+      | Error m -> Error (Printf.sprintf "response is not valid JSON: %s" m)))
+
 (* ---- responses -------------------------------------------------------- *)
 
 let error_response ?(id = Json.Null) kind msg =

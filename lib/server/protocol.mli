@@ -60,6 +60,21 @@ val write_frame : Unix.file_descr -> Csp_persist.Json.t -> unit
     [Unix.Unix_error] ([EPIPE]/[ECONNRESET]) if the peer vanished —
     callers treat that as a normal disconnect. *)
 
+(** {1 Client} *)
+
+type conn
+
+val connect : string -> (conn, string) result
+(** Connect to the server socket.  [Error] carries the [Unix] error
+    string (server not running, stale socket, …). *)
+
+val request : conn -> Csp_persist.Json.t -> (Csp_persist.Json.t, string) result
+(** One request frame out, one response frame in.  [Error] on
+    disconnect, oversized response or a response that is not valid
+    JSON. *)
+
+val close : conn -> unit
+
 (** {1 Responses} *)
 
 val error_response :

@@ -216,7 +216,21 @@ let test_ring_flat () =
   let s4 = states 4 in
   check_int "flat at n=16" s4 (states 16);
   check_int "flat at n=32" s4 (states 32);
-  check_bool "small instances are no larger" true (states 2 <= s4)
+  check_bool "small instances are no larger" true (states 2 <= s4);
+  (* the quotient pays for itself: strictly below the concrete ring *)
+  List.iter
+    (fun n ->
+      let m = Models.Token_ring.make ~n in
+      let lts =
+        Lts.explore
+          (Engine.step_config (engine m.Models.Token_ring.defs))
+          m.Models.Token_ring.network
+      in
+      check_bool
+        (Printf.sprintf "ring n=%d abstract below concrete" n)
+        true
+        (states n < Lts.num_states lts))
+    [ 8; 16 ]
 
 let test_ring_collapses_and_legend () =
   let r = Counter.explore Family.token_ring.Family.fam ~n:16 in
@@ -266,7 +280,7 @@ let test_ring_sound () =
       let m = Models.Token_ring.make ~n in
       erased_concrete_included Family.token_ring ~n m.Models.Token_ring.defs
         m.Models.Token_ring.network)
-    [ 2; 3 ]
+    [ 2; 3; 4; 8 ]
 
 let test_leader_sound () =
   List.iter
@@ -308,7 +322,7 @@ let test_workers_sound () =
       let m = Models.Workers.make ~n in
       erased_concrete_included Family.workers ~n m.Models.Workers.defs
         m.Models.Workers.network)
-    [ 2; 3 ]
+    [ 2; 3; 4; 8 ]
 
 (* ---- whole-family certification ----------------------------------------- *)
 

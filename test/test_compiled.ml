@@ -264,8 +264,6 @@ let test_compiled_tables () =
   Alcotest.(check int) "no fallbacks within budget" 0
     (Compiled.fallbacks compiled);
   Alcotest.(check bool) "events interned" true (Compiled.n_events compiled > 0);
-  Alcotest.(check bool) "compile time recorded" true
-    (Compiled.compile_ms compiled >= 0.0);
   (* flat rows agree with the interpreter on every compiled state *)
   let seq = Lts.explore ~max_states:2000 cfg Paper.Protocol.network in
   Alcotest.(check int) "compiled prefix covers the exploration"

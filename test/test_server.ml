@@ -4,7 +4,6 @@
 
 module Server = Csp_server.Server
 module Protocol = Csp_server.Protocol
-module Workload = Csp_server.Workload
 module Json = Csp_persist.Json
 module Obs = Csp_obs.Obs
 
@@ -319,10 +318,10 @@ let with_server ?jobs ?limits ?warm f =
   while not (Atomic.get ready) do Domain.cpu_relax () done;
   Fun.protect
     ~finally:(fun () ->
-      (match Workload.connect socket with
+      (match Protocol.connect socket with
       | Ok conn ->
-        ignore (Workload.request conn (req "shutdown" []));
-        Workload.close conn
+        ignore (Protocol.request conn (req "shutdown" []));
+        Protocol.close conn
       | Error _ -> ());
       Domain.join d)
   @@ fun () -> f socket
@@ -333,18 +332,18 @@ let raw_connect socket =
   fd
 
 let request_exn conn j =
-  match Workload.request conn j with
+  match Protocol.request conn j with
   | Ok r -> r
   | Error m -> Alcotest.fail m
 
 let test_socket_differential () =
   with_server @@ fun socket ->
   let conn =
-    match Workload.connect socket with
+    match Protocol.connect socket with
     | Ok c -> c
     | Error m -> Alcotest.fail m
   in
-  Fun.protect ~finally:(fun () -> Workload.close conn) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Protocol.close conn) @@ fun () ->
   let request =
     req "graph" [ src ring_source; ("process", Json.str "main") ]
   in
@@ -368,11 +367,11 @@ let test_client_disconnect_mid_request () =
   Unix.close fd;
   (* the server must still answer fresh connections *)
   let conn =
-    match Workload.connect socket with
+    match Protocol.connect socket with
     | Ok c -> c
     | Error m -> Alcotest.fail m
   in
-  Fun.protect ~finally:(fun () -> Workload.close conn) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Protocol.close conn) @@ fun () ->
   let resp = request_exn conn (req "ping" []) in
   check_bool "server alive" true
     (Json.mem_bool "ok" resp = Some true)
@@ -398,11 +397,11 @@ let test_disconnect_during_slow_job () =
   (* the pool must still answer fresh connections, including the very
      request the dead clients abandoned *)
   let conn =
-    match Workload.connect socket with
+    match Protocol.connect socket with
     | Ok c -> c
     | Error m -> Alcotest.fail m
   in
-  Fun.protect ~finally:(fun () -> Workload.close conn) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Protocol.close conn) @@ fun () ->
   check_bool "server alive" true
     (Json.mem_bool "ok" (request_exn conn (req "ping" [])) = Some true);
   let _, code = outcome (request_exn conn slow) in
@@ -491,11 +490,11 @@ let test_socket_oversized_and_malformed () =
   Unix.close fd;
   (* and the server survives both *)
   let conn =
-    match Workload.connect socket with
+    match Protocol.connect socket with
     | Ok c -> c
     | Error m -> Alcotest.fail m
   in
-  Fun.protect ~finally:(fun () -> Workload.close conn) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Protocol.close conn) @@ fun () ->
   check_bool "server alive" true
     (Json.mem_bool "ok" (request_exn conn (req "ping" [])) = Some true)
 
@@ -505,11 +504,11 @@ let test_concurrent_jobs () =
   with_server ~jobs:2 @@ fun socket ->
   let conns =
     List.init 3 (fun _ ->
-        match Workload.connect socket with
+        match Protocol.connect socket with
         | Ok c -> c
         | Error m -> Alcotest.fail m)
   in
-  Fun.protect ~finally:(fun () -> List.iter Workload.close conns)
+  Fun.protect ~finally:(fun () -> List.iter Protocol.close conns)
   @@ fun () ->
   List.iteri
     (fun i conn ->
@@ -533,11 +532,11 @@ let test_concurrent_jobs () =
 let test_concurrent_jobs_share_memos () =
   with_server ~jobs:2 @@ fun socket ->
   let conn =
-    match Workload.connect socket with
+    match Protocol.connect socket with
     | Ok c -> c
     | Error m -> Alcotest.fail m
   in
-  Fun.protect ~finally:(fun () -> Workload.close conn) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Protocol.close conn) @@ fun () ->
   let fuzz =
     req "fuzz"
       [ ("seed", Json.int 3); ("count", Json.int 20); ("stats", Json.Bool true) ]

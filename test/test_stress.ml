@@ -1,14 +1,12 @@
 (* @stress: the protocol library at sizes the default suite never
    visits — token ring at n=10, two-phase commit at n=6, the sliding
    window refined deeper — explored through the compiled successor
-   engine, plus the stress benchmark workload replayed against an
-   in-process server.  Excluded from the default runtest alias: run
-   with `dune build @stress`. *)
+   engine, plus whole-family verification at n=64.  The same sizes
+   answered through `cspc serve` are benchmark/'s catalogue, checked
+   against pinned answers by `benchmark/main.exe smoke`.  Excluded
+   from the default runtest alias: run with `dune build @stress`. *)
 
 open Csp
-module Server = Csp_server.Server
-module Workload = Csp_server.Workload
-module Json = Csp_persist.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -99,28 +97,6 @@ let test_workers_abstract_64 () =
     (Counter.initial_signature fam.Family.fam ~n:8)
     (Counter.initial_signature fam.Family.fam ~n:64)
 
-(* The stress-sized benchmark workload (the same items bench P15 and
-   `cspc client --bench --stress` replay) answered by an in-process
-   server: every request must succeed, and the refinements must hold. *)
-let test_stress_workload () =
-  let t =
-    match Server.create (Server.config "unused.sock") with
-    | Ok t -> t
-    | Error m -> Alcotest.fail m
-  in
-  let items = Workload.mixed ~stress:true ~sources:[] () in
-  check_bool "workload nonempty" true (List.length items > 5);
-  List.iter
-    (fun (it : Workload.item) ->
-      match Json.parse (Server.handle_line t (Json.to_string it.request)) with
-      | Error m -> Alcotest.failf "%s: response not JSON: %s" it.label m
-      | Ok resp ->
-        check_bool (it.label ^ " ok") true
-          (Json.mem_bool "ok" resp = Some true);
-        check_int (it.label ^ " exit") 0
-          (Option.value ~default:0 (Json.mem_int "exit" resp)))
-    items
-
 let () =
   Alcotest.run "stress"
     [
@@ -139,6 +115,4 @@ let () =
           Alcotest.test_case "workers abstract flat at n=64" `Slow
             test_workers_abstract_64;
         ] );
-      ( "service",
-        [ Alcotest.test_case "stress workload" `Slow test_stress_workload ] );
     ]
