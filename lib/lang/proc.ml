@@ -131,27 +131,21 @@ let[@inline] locked sh f =
 let next_id = Atomic.make 0
 let intern_hits = Atomic.make 0
 
-type shard_stats = { shard_len : int; shard_waits : int; shard_misses : int }
+type shard_stats = { shard_waits : int; shard_misses : int }
 
 type stats = {
   nodes : int;
   hits : int;
   misses : int;
-  table_len : int;
   lock_waits : int;
   shards : int;
-  max_shard_len : int;
 }
 
 let shard_stats () =
   Array.map
     (fun sh ->
       locked sh (fun () ->
-          {
-            shard_len = Unique.count sh.s_table;
-            shard_waits = Atomic.get sh.s_waits;
-            shard_misses = sh.s_misses;
-          }))
+          { shard_waits = Atomic.get sh.s_waits; shard_misses = sh.s_misses }))
     shards
 
 let stats () =
@@ -161,10 +155,8 @@ let stats () =
     nodes = misses;
     hits = Atomic.get intern_hits;
     misses;
-    table_len = Array.fold_left (fun a s -> a + s.shard_len) 0 per;
     lock_waits = Array.fold_left (fun a s -> a + s.shard_waits) 0 per;
     shards = n_shards;
-    max_shard_len = Array.fold_left (fun a s -> max a s.shard_len) 0 per;
   }
 
 (* [repr] must be structurally equal to the node's unfolding; callers

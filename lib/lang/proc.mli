@@ -70,7 +70,6 @@ val subst_value : string -> Csp_trace.Value.t -> t -> t
     {!Process.subst_value}: [Input] rebinding stops the descent. *)
 
 type shard_stats = {
-  shard_len : int;  (** live nodes in this shard's weak table *)
   shard_waits : int;  (** contended acquisitions of this shard's mutex *)
   shard_misses : int;  (** nodes created through this shard *)
 }
@@ -79,26 +78,23 @@ type stats = {
   nodes : int;
   hits : int;
   misses : int;
-  table_len : int;
   lock_waits : int;
       (** contended shard-mutex acquisitions, summed over shards (only
           ever non-zero when several domains intern concurrently; the
           hit path probes the shard without its lock, so only misses
           and probe races contend) *)
   shards : int;  (** shard count of the unique table *)
-  max_shard_len : int;
-      (** live nodes in the fullest shard — an occupancy-skew check:
-          healthy hashing keeps this near [table_len / shards] *)
 }
 
 val stats : unit -> stats
 (** Interning statistics since program start: nodes created, unique-
-    table hits/misses, current live table size, and lock contention.
+    table hits/misses and lock contention.  No table is scanned, so a
+    snapshot stays cheap as the table grows.
     The unique table is sharded by hash with one mutex per shard, so
     concurrent interning contends per shard, not globally. *)
 
 val shard_stats : unit -> shard_stats array
-(** Per-shard occupancy and contention, in shard order. *)
+(** Per-shard inserts and contention, in shard order. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

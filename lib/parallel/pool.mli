@@ -12,9 +12,10 @@
     only once every task of the batch has finished, and results are
     delivered in input order regardless of which domain executed which
     task.  Tasks of one batch are
-    claimed dynamically (an atomic cursor over the task array), so
-    uneven task costs balance themselves; there is no preemption or
-    work stealing between batches.
+    claimed dynamically (an atomic cursor over the task indices), so
+    uneven task costs balance themselves; there is no preemption
+    between batches.  A {e session} instead keeps the spawned workers
+    on one shared stack of work items until the caller stops it.
 
     Pools are quiescent between batches: idle workers block on a
     condition variable and consume no CPU.  A pool holds its domains
@@ -52,83 +53,34 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     raises, the batch still runs to completion and the exception of
     the lowest-indexed failing task is re-raised in the caller. *)
 
-(** {1 Parallel-phase hooks}
-
-    Subsystems with domain-local cache overlays (e.g. the closure
-    kernel's memo arenas) register an [enter]/[exit] pair; the pool
-    brackets every multi-domain fork-join batch with them.  [enter]
-    runs on the submitting domain before any worker touches a task;
-    [exit] runs after every worker of the batch is quiescent (so the
-    exit hook may merge domain-local state without further
-    synchronisation).  Phases never nest; single-domain pools and
-    single-task batches run no hooks.  Work-stealing sessions open no
-    phase — a session can outlive any number of requests (the
-    [cspc serve] dispatcher keeps one open until shutdown), so work
-    inside it uses the overlays' shared, locked path. *)
-
-val register_phase_hooks : enter:(unit -> unit) -> exit:(unit -> unit) -> unit
-
-(** {1 Work-stealing deques}
-
-    Per-worker double-ended queues in the Chase–Lev layout — owner
-    pushes/pops newest-first at the bottom, thieves take the oldest
-    half from the top.  Structural operations take a per-deque mutex
-    (not the full lock-free protocol); an atomic size mirror lets
-    thieves scan for victims without locking.  Exposed for unit
-    testing; exploration goes through the stealing sessions below. *)
-module Deque : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val size : 'a t -> int
-  (** Published size; exact for the owner, a racy hint for thieves. *)
-
-  val push : 'a t -> 'a -> unit
-  (** Owner end: append as the newest item. *)
-
-  val pop : 'a t -> 'a option
-  (** Owner end: remove the newest item. *)
-
-  val steal_half : 'a t -> 'a list
-  (** Thief end: remove the oldest ⌈size/2⌉ items, oldest first.
-      Never holds more than the victim's lock, so a steal may run
-      concurrently with the victim's own [push]/[pop] and with steals
-      from other deques. *)
-end
-
-(** {1 Work-stealing sessions}
+(** {1 Sessions}
 
     A session turns the pool's spawned workers into a frontier
-    scheduler: each worker owns a deque, runs [f ~worker ~push item]
-    on its own newest item first, steals half of the nearest
-    non-empty deque when it runs dry, and parks when the whole
-    session looks empty.  [push] makes new work visible to the whole
-    session (it may be processed by any worker, including the
-    pusher).
+    scheduler around one shared stack: each worker waits until the
+    stack is non-empty, pops the newest item and runs
+    [f ~worker ~push item].  [push] (like {!session_push}) makes new
+    work visible to every worker, the pusher included.
 
     While a session is open the pool must not run batches
     ({!parallel_map}) — the spawned workers are occupied by the
-    session's driver loops.  A session is not a parallel phase: no
-    phase hooks run for it.  The caller coordinates from its
-    own domain and closes the session with {!stealing_stop}. *)
+    session's driver loops.  The caller coordinates from its own
+    domain and closes the session with {!session_stop}. *)
 
-type 'a stealing
+type 'a session
 
-val stealing_start :
-  t -> (worker:int -> push:('a -> unit) -> 'a -> unit) -> 'a stealing
+val session_start :
+  t -> (worker:int -> push:('a -> unit) -> 'a -> unit) -> 'a session
 (** Open a session on the pool, starting one driver loop per spawned
     worker ([domains - 1] of them; a 1-domain pool starts none).
-    [worker] ranges over [0 .. domains - 2]; deque [domains - 1] is
-    the caller's seeding slot.  The session is speculative: exceptions
-    in [f] are swallowed (the coordinator is expected to re-derive
-    authoritatively). *)
+    [worker] ranges over [0 .. domains - 2] and names the driver, so
+    [f] may keep per-driver state.  The session is speculative:
+    exceptions in [f] are swallowed (the coordinator is expected to
+    re-derive authoritatively). *)
 
-val stealing_push : 'a stealing -> 'a -> unit
-(** Seed work from the caller, distributed round-robin over all
-    deques. *)
+val session_push : 'a session -> 'a -> unit
+(** Push work from the caller onto the shared stack. *)
 
-val stealing_stop : 'a stealing -> unit
+val session_stop : 'a session -> unit
 (** Stop the session (idempotent): signal every driver and wait for
     the spawned workers to leave their loops.  Items still queued are
     discarded. *)
@@ -144,10 +96,8 @@ type stats = {
   batches : int;      (** fork-join barriers executed *)
   tasks : int;        (** tasks claimed and run, across all batches *)
   caller_tasks : int; (** of those, tasks run by the submitting domain *)
-  lock_waits : int;   (** contended pool/deque-mutex acquisitions *)
-  steals : int;       (** successful [Deque.steal_half] operations *)
-  stolen : int;       (** items moved between deques by those steals *)
-  stealing_tasks : int;  (** items processed by stealing sessions *)
+  lock_waits : int;   (** contended pool/session-mutex acquisitions *)
+  session_tasks : int;  (** items processed by sessions *)
 }
 
 val stats : unit -> stats

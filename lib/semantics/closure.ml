@@ -2,7 +2,6 @@ module Event = Csp_trace.Event
 module Trace = Csp_trace.Trace
 module Channel = Csp_trace.Channel
 module Obs = Csp_obs.Obs
-module Pool = Csp_parallel.Pool
 
 (* Wall-clock spent interning nodes (the unique-table critical section
    plus the cardinal/depth folds).  Recorded only while telemetry is
@@ -105,9 +104,8 @@ let[@inline] with_lock m f =
     Mutex.unlock m;
     raise e
 
-(* The memo lock guards the shared compute tables and their counters
-   in sequential mode; parallel phases bypass it entirely (see the
-   arena machinery below). *)
+(* The memo lock guards the shared compute tables and their counters,
+   on every domain. *)
 let memo_lock = Mutex.create ()
 let[@inline] locked f = with_lock memo_lock f
 
@@ -189,116 +187,17 @@ let inter_tbl : t Memo.t = Memo.create 1024
 let truncate_tbl : t Memo.t = Memo.create 1024
 let subset_tbl : bool Memo.t = Memo.create 1024
 
-(* ---- domain-local memo arenas ---------------------------------------- *)
-
-(* During a parallel phase (bracketed by the pool's phase hooks) the
-   shared compute tables are frozen read-only: every domain reads them
-   without a lock and writes fresh results into its own arena — a
-   private mirror of the four tables plus local hit/miss counters —
-   generalizing [Step.view]'s overlay pattern.  At the phase exit
-   (every worker quiescent) the arenas are flushed into the shared
-   tables add-if-absent and reset, so the next phase (or sequential
-   code) sees every result computed anywhere.
-
-   Arenas live in domain-local storage: a pool worker allocates one on
-   first use and keeps it for the pool's lifetime; the registry below
-   lets the exit hook find every arena ever created. *)
-type arena = {
-  a_union : t Memo.t;
-  a_inter : t Memo.t;
-  a_truncate : t Memo.t;
-  a_subset : bool Memo.t;
-  mutable a_hits : int;
-  mutable a_misses : int;
-}
-
-(* Depth, not a flag: defensive against nested enter/exit pairs (the
-   pool never nests phases, but a miscounted flag would corrupt the
-   shared tables silently; a depth only delays the flush). *)
-let phase_depth = Atomic.make 0
-
-let arenas : arena list ref = ref []
-let arenas_lock = Mutex.create ()
-
-let arena_key =
-  Domain.DLS.new_key (fun () ->
-      let a =
-        {
-          a_union = Memo.create 256;
-          a_inter = Memo.create 64;
-          a_truncate = Memo.create 64;
-          a_subset = Memo.create 64;
-          a_hits = 0;
-          a_misses = 0;
-        }
-      in
-      with_lock arenas_lock (fun () -> arenas := a :: !arenas);
-      a)
-
-let[@inline] my_arena () = Domain.DLS.get arena_key
-
-let flush_arena a =
-  (* runs at phase exit with every worker quiescent; the memo lock is
-     still taken so a concurrent [stats]/sequential reader is safe *)
+let memo_find tbl key =
   locked (fun () ->
-      let add_absent shared local =
-        Memo.iter
-          (fun k v -> if not (Memo.mem shared k) then Memo.add shared k v)
-          local
-      in
-      add_absent union_tbl a.a_union;
-      add_absent inter_tbl a.a_inter;
-      add_absent truncate_tbl a.a_truncate;
-      add_absent subset_tbl a.a_subset;
-      memo_hits := !memo_hits + a.a_hits;
-      memo_misses := !memo_misses + a.a_misses);
-  Memo.reset a.a_union;
-  Memo.reset a.a_inter;
-  Memo.reset a.a_truncate;
-  Memo.reset a.a_subset;
-  a.a_hits <- 0;
-  a.a_misses <- 0
-
-let () =
-  Pool.register_phase_hooks
-    ~enter:(fun () -> Atomic.incr phase_depth)
-    ~exit:(fun () ->
-      if Atomic.fetch_and_add phase_depth (-1) = 1 then
-        List.iter flush_arena (with_lock arenas_lock (fun () -> !arenas)))
-
-(* [arena_of] projects the matching private table out of the caller's
-   arena, so one find/add pair serves all four shared tables. *)
-let memo_find tbl arena_of key =
-  if Atomic.get phase_depth > 0 then begin
-    (* shared tables are frozen: read them without the lock *)
-    match Memo.find_opt tbl key with
-    | Some _ as r ->
-      let a = my_arena () in
-      a.a_hits <- a.a_hits + 1;
-      r
-    | None -> (
-      let a = my_arena () in
-      match Memo.find_opt (arena_of a) key with
+      match Memo.find_opt tbl key with
       | Some _ as r ->
-        a.a_hits <- a.a_hits + 1;
+        incr memo_hits;
         r
       | None ->
-        a.a_misses <- a.a_misses + 1;
+        incr memo_misses;
         None)
-  end
-  else
-    locked (fun () ->
-        match Memo.find_opt tbl key with
-        | Some _ as r ->
-          incr memo_hits;
-          r
-        | None ->
-          incr memo_misses;
-          None)
 
-let memo_add tbl arena_of key v =
-  if Atomic.get phase_depth > 0 then Memo.replace (arena_of (my_arena ())) key v
-  else locked (fun () -> Memo.replace tbl key v)
+let memo_add tbl key v = locked (fun () -> Memo.replace tbl key v)
 
 type stats = {
   nodes : int;
@@ -306,16 +205,9 @@ type stats = {
   memo_misses : int;
   lock_waits : int;
   shards : int;
-  max_shard_len : int;
 }
 
 let stats () =
-  let max_len =
-    Array.fold_left
-      (fun acc sh ->
-        max acc (with_lock sh.s_lock (fun () -> Unique.count sh.s_table)))
-      0 shards
-  in
   locked (fun () ->
       {
         nodes = nodes_created ();
@@ -323,7 +215,6 @@ let stats () =
         memo_misses = !memo_misses;
         lock_waits = Atomic.get lock_waits;
         shards = n_shards;
-        max_shard_len = max_len;
       })
 
 let clear_caches () =
@@ -342,7 +233,6 @@ let () =
         ("memo_misses", Obs.Int s.memo_misses);
         ("lock_waits", Obs.Int s.lock_waits);
         ("shards", Obs.Int s.shards);
-        ("max_shard_len", Obs.Int s.max_shard_len);
       ])
 
 (* ---- set operations -------------------------------------------------- *)
@@ -354,11 +244,11 @@ let rec union a b =
   else
     (* union is commutative: normalise the key so both orders hit *)
     let key = if a.id <= b.id then (a.id, b.id) else (b.id, a.id) in
-    match memo_find union_tbl (fun ar -> ar.a_union) key with
+    match memo_find union_tbl key with
     | Some r -> r
     | None ->
       let r = node (merge a.children b.children) in
-      memo_add union_tbl (fun ar -> ar.a_union) key r;
+      memo_add union_tbl key r;
       r
 
 and merge xs ys =
@@ -390,11 +280,11 @@ let rec inter a b =
   else if a == empty || b == empty then empty
   else
     let key = if a.id <= b.id then (a.id, b.id) else (b.id, a.id) in
-    match memo_find inter_tbl (fun ar -> ar.a_inter) key with
+    match memo_find inter_tbl key with
     | Some r -> r
     | None ->
       let r = node (inter_children a.children b.children) in
-      memo_add inter_tbl (fun ar -> ar.a_inter) key r;
+      memo_add inter_tbl key r;
       r
 
 and inter_children xs ys =
@@ -465,11 +355,11 @@ let rec truncate n t =
   else if t.depth <= n then t (* already within the bound: share *)
   else
     let key = (n, t.id) in
-    match memo_find truncate_tbl (fun ar -> ar.a_truncate) key with
+    match memo_find truncate_tbl key with
     | Some r -> r
     | None ->
       let r = node (List.map (fun (e, t') -> (e, truncate (n - 1) t')) t.children) in
-      memo_add truncate_tbl (fun ar -> ar.a_truncate) key r;
+      memo_add truncate_tbl key r;
       r
 
 (* [hide]/[par]/[interleave] close over predicates and so cannot key a
@@ -553,7 +443,7 @@ let rec subset a b =
   else if a.cardinal > b.cardinal || a.depth > b.depth then false
   else
     let key = (a.id, b.id) in
-    match memo_find subset_tbl (fun ar -> ar.a_subset) key with
+    match memo_find subset_tbl key with
     | Some r -> r
     | None ->
       let r =
@@ -564,7 +454,7 @@ let rec subset a b =
             | None -> false)
           a.children
       in
-      memo_add subset_tbl (fun ar -> ar.a_subset) key r;
+      memo_add subset_tbl key r;
       r
 
 (* Synchronous walk over the shared part of both tries — no trace

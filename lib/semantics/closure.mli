@@ -105,21 +105,16 @@ type stats = {
       (** contended shard/memo-mutex acquisitions (only ever non-zero
           under multi-domain execution) *)
   shards : int;  (** shard count of the unique table *)
-  max_shard_len : int;
-      (** live nodes in the fullest shard — occupancy-skew check *)
 }
 
 val stats : unit -> stats
 (** Global counters: nodes interned, compute-table hits/misses, lock
-    contention, shard occupancy — exported as the [closure.*] snapshot
-    keys.
+    contention, shard count — exported as the [closure.*] snapshot
+    keys.  No table is scanned, so a snapshot stays cheap as the
+    tables grow.
 
-    The unique table is sharded by hash with one mutex per shard.
-    During a pool parallel phase — a multi-domain fork-join batch, see
-    [Pool.register_phase_hooks] — the compute tables are frozen
-    read-only and each domain accumulates fresh results in a private
-    arena, flushed add-if-absent at the join — so
-    [memo_hits]/[memo_misses] may lag by one phase. *)
+    The unique table is sharded by hash with one mutex per shard; the
+    compute tables share one mutex, taken on every domain. *)
 
 val clear_caches : unit -> unit
 (** Drop the compute tables (unique table entries become collectable

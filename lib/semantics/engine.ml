@@ -11,12 +11,10 @@ let () =
       let s = Proc.stats () in
       [
         ("nodes", Obs.Int s.Proc.nodes);
-        ("table_len", Obs.Int s.Proc.table_len);
         ("hits", Obs.Int s.Proc.hits);
         ("misses", Obs.Int s.Proc.misses);
         ("lock_waits", Obs.Int s.Proc.lock_waits);
         ("shards", Obs.Int s.Proc.shards);
-        ("max_shard_len", Obs.Int s.Proc.max_shard_len);
       ])
 
 type t = {

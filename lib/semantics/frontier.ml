@@ -1,17 +1,18 @@
-(* Speculative derivation service for work-stealing exploration.
+(* Speculative derivation service for multi-domain exploration.
 
    The per-state transition relation is a pure function of the interned
    state and the configuration (samplers are pure), so its results may
    be computed in ANY order by ANY domain without affecting what the
    coordinator will see — only when.  A frontier session exploits this:
    pool workers race ahead of the coordinator over the state graph,
-   claiming states from work-stealing deques, deriving their transition
-   lists through domain-local {!Step.view}s, and publishing the results
-   in a sharded derived-map.  The coordinator — {!Compiled}'s
-   exploration walk, appending rows — consumes published results where
-   speculation got there first and derives inline where it did not, so
-   state numbering, transition order and truncation are byte-identical
-   to the sequential exploration by construction, at any domain count.
+   taking states newest first from the pool session's shared stack,
+   deriving their transition lists through domain-local {!Step.view}s,
+   and publishing the results in a sharded derived-map.  The
+   coordinator — {!Compiled}'s exploration walk, appending rows —
+   consumes published results where speculation got there first and
+   derives inline where it did not, so state numbering, transition
+   order and truncation are byte-identical to the sequential
+   exploration by construction, at any domain count.
 
    Shared [Step] caches are frozen for the whole session: every domain
    (the coordinator included) derives through its own view, and all
@@ -44,7 +45,7 @@ type shard = {
 type session = {
   shards : shard array;
   views : Step.view array;  (* per worker; index [n-1] is the coordinator *)
-  steal : Proc.t Pool.stealing;
+  work : Proc.t Pool.session;
   cap : int;  (* soft bound on claims: speculation past it is cut off *)
   claims : int Atomic.t;
 }
@@ -101,11 +102,11 @@ let worker_step s ~worker ~push (p : Proc.t) =
 
 let start ~pool ?(cap = max_int) cfg =
   let n = Pool.domains pool in
-  (* the session record and the stealing session reference each other;
+  (* the session record and the pool session reference each other;
      tie the knot through a ref the worker closure reads *)
   let s_ref = ref None in
-  let steal =
-    Pool.stealing_start pool (fun ~worker ~push p ->
+  let work =
+    Pool.session_start pool (fun ~worker ~push p ->
         match !s_ref with
         | Some s -> worker_step s ~worker ~push p
         | None -> ())
@@ -120,7 +121,7 @@ let start ~pool ?(cap = max_int) cfg =
               derived = Step.Trans_tbl.create 64;
             });
       views = Array.init n (fun _ -> Step.view cfg);
-      steal;
+      work;
       cap;
       claims = Atomic.make 0;
     }
@@ -148,13 +149,13 @@ let get s (p : Proc.t) =
     let ts = Step.transitions_view s.views.(Array.length s.views - 1) p in
     List.iter
       (fun (_, _, q) ->
-        if not (seen s (Proc.id q)) then Pool.stealing_push s.steal q)
+        if not (seen s (Proc.id q)) then Pool.session_push s.work q)
       ts;
     ts
 
 let stop s =
-  Pool.stealing_stop s.steal;
+  Pool.session_stop s.work;
   (* every driver has left its loop: folding the views back into the
-     shared config caches is safe, and later phases (or sequential
+     shared config caches is safe, and later sessions (or sequential
      queries) reuse everything speculation derived *)
   Array.iter Step.merge_view s.views

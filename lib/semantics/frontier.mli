@@ -1,4 +1,4 @@
-(** Speculative derivation on the work-stealing pool.
+(** Speculative derivation on a pool session.
 
     A frontier session lets pool workers race ahead of
     {!Compiled}'s exploration walk, deriving per-state transition
@@ -19,8 +19,8 @@ type session
 
 val start :
   pool:Csp_parallel.Pool.t -> ?cap:int -> Step.config -> session
-(** Open a session: one driver per spawned pool worker starts stealing
-    work.  [cap] (default: unbounded) soft-bounds the number of states
+(** Open a session: one driver per spawned pool worker starts taking
+    work from the session's shared stack.  [cap] (default: unbounded) soft-bounds the number of states
     speculation will claim — pass the exploration's state bound so
     speculation cannot run away on graphs much larger than the bound.
     On a 1-domain pool the session is inert: {!get} derives everything

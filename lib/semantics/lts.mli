@@ -11,7 +11,7 @@
     Exploration is a FIFO walk in BFS discovery order.  Production
     exploration runs {!Compiled}'s loop over flat successor tables; on
     a multi-domain {!Csp_parallel.Pool.t} that loop derives missing
-    rows through a work-stealing speculation fleet.  The
+    rows through a speculative pool session.  The
     interpreted loop stays as the sequential reference: the resulting
     system (state numbering, transition list, truncation and DOT
     output) is byte-identical on every path, whatever the domain

@@ -77,20 +77,20 @@ val traces_i : config -> depth:int -> Csp_lang.Proc.t -> Closure.t
 
     The per-config caches are plain hashtables and must not be written
     concurrently.  A {!view} lets a worker domain derive transitions
-    during a parallel phase without touching them: lookups consult the
-    shared tables first (read-only — safe while no domain writes), then
-    a private local table; fresh derivations are recorded locally.  At
-    the fork-join barrier, while the workers are quiescent, the
-    coordinator calls {!merge_view} on each view to fold the local
-    discoveries into the shared tables — cache hits survive the
-    barrier, and later layers or sequential queries reuse them. *)
+    during a {!Frontier} session without touching them: lookups
+    consult the shared tables first (read-only — safe while no domain
+    writes), then a private local table; fresh derivations are
+    recorded locally.  When the session stops, with the workers
+    quiescent, the coordinator calls {!merge_view} on each view to
+    fold the local discoveries into the shared tables — cache hits
+    survive the session, and later sequential queries reuse them. *)
 
 type view
 (** A domain-local overlay over one configuration's caches. *)
 
 val view : config -> view
 (** A fresh, empty view of [config]'s caches.  Create one per worker
-    domain per parallel phase (views are not themselves thread-safe). *)
+    domain per session (views are not themselves thread-safe). *)
 
 val transitions_view :
   view -> Csp_lang.Proc.t ->

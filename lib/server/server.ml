@@ -440,8 +440,8 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 (* The poller owns the listening socket and every idle connection and
    multiplexes them through [select]; a connection with data ready is
    handed to [dispatch] (inline with [jobs = 1], onto the pool's
-   work-stealing session otherwise) and returns to the idle set when
-   its frames are served.  So a fixed worker count serves any number
+   session otherwise, newest connection first) and returns to the
+   idle set when its frames are served.  So a fixed worker count serves any number
    of persistent connections: an idle connection occupies no worker,
    and requests interleaved across connections never head-of-line
    block behind an open socket. *)
@@ -479,7 +479,7 @@ let serve ?ready t cfg =
     else begin
       let pool = Pool.create ~domains:(cfg.jobs + 1) in
       let s =
-        Pool.stealing_start pool (fun ~worker:_ ~push:_ live ->
+        Pool.session_start pool (fun ~worker:_ ~push:_ live ->
             return_live live (process_ready t live))
       in
       Some (pool, s)
@@ -488,13 +488,13 @@ let serve ?ready t cfg =
   let dispatch live =
     match session with
     | None -> return_live live (process_ready t live)
-    | Some (_, s) -> Pool.stealing_push s live
+    | Some (_, s) -> Pool.session_push s live
   in
   Fun.protect
     ~finally:(fun () ->
       (match session with
       | Some (pool, s) ->
-        Pool.stealing_stop s;
+        Pool.session_stop s;
         Pool.shutdown pool
       | None -> ());
       Mutex.lock idle_mu;

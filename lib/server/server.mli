@@ -15,8 +15,8 @@
     connections occupy no worker and interleaved clients never
     head-of-line block behind an open socket.  With [jobs = 1] ready
     frames are served inline by the poller; with [jobs > 1] they are
-    pushed onto a {!Csp_parallel.Pool} work-stealing session and
-    served by the pool's worker domains.  Jobs on one source context
+    pushed onto a {!Csp_parallel.Pool} session's shared stack and
+    served, newest first, by the pool's worker domains.  Jobs on one source context
     serialise on that context's lock (the engine caches are
     single-writer); jobs on different sources run concurrently.
 

@@ -369,12 +369,12 @@ let test_replay_starts_no_speculation () =
   let eng, net = chain_engine 2 in
   let c = Engine.compile eng net in
   let lts, speculated =
-    moved [ "frontier.hits"; "frontier.misses"; "pool.stealing_tasks" ]
+    moved [ "frontier.hits"; "frontier.misses"; "pool.session_tasks" ]
       (fun () -> replay eng c net)
   in
   Alcotest.(check int) "complete replay" (Compiled.n_states c)
     (Lts.num_states lts);
-  Alcotest.(check int) "no frontier or stealing traffic" 0 speculated
+  Alcotest.(check int) "no frontier or session traffic" 0 speculated
 
 let () =
   Alcotest.run "compiled"

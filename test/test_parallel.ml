@@ -58,90 +58,33 @@ let test_pool_stats () =
   Alcotest.(check bool) "tasks ran" true Pool.(s1.tasks - s0.tasks >= 20);
   Alcotest.(check bool) "a batch ran" true Pool.(s1.batches > s0.batches)
 
-(* ---- work-stealing deques -------------------------------------------- *)
+(* ---- sessions -------------------------------------------------------- *)
 
-let test_deque_lifo () =
-  let d = Pool.Deque.create () in
-  Alcotest.(check (option int)) "empty pops None" None (Pool.Deque.pop d);
-  (* 100 items crosses the initial capacity: growth re-packs from the
-     head, so order survives the copy *)
-  for i = 1 to 100 do
-    Pool.Deque.push d i
-  done;
-  Alcotest.(check int) "size counts the pushes" 100 (Pool.Deque.size d);
-  let popped = List.init 100 (fun _ -> Option.get (Pool.Deque.pop d)) in
-  Alcotest.(check (list int))
-    "owner pops newest-first"
-    (List.init 100 (fun i -> 100 - i))
-    popped;
-  Alcotest.(check (option int)) "drained" None (Pool.Deque.pop d)
-
-let test_deque_steal_half () =
-  let d = Pool.Deque.create () in
-  for i = 1 to 7 do
-    Pool.Deque.push d i
-  done;
-  Alcotest.(check (list int))
-    "steal takes the oldest ⌈7/2⌉, oldest first" [ 1; 2; 3; 4 ]
-    (Pool.Deque.steal_half d);
-  Alcotest.(check int) "victim keeps the rest" 3 (Pool.Deque.size d);
-  Alcotest.(check (option int))
-    "owner still pops its newest" (Some 7) (Pool.Deque.pop d);
-  Alcotest.(check (list int))
-    "steal of 2 takes 1" [ 5 ] (Pool.Deque.steal_half d);
-  Alcotest.(check (list int))
-    "steal of 1 takes it" [ 6 ] (Pool.Deque.steal_half d);
-  Alcotest.(check (list int))
-    "steal of empty is empty" [] (Pool.Deque.steal_half d)
-
-(* One owner pushing and popping, three thieves stealing — four
-   domains on the same deque.  Conservation: every pushed item
-   surfaces exactly once, on exactly one side. *)
-let test_deque_conservation_4_domains () =
-  let d = Pool.Deque.create () in
+(* Three drivers on one shared stack, with the caller pushing from a
+   fourth domain: every caller item makes its driver push one
+   follow-up, and every one of the 20 000 items runs exactly once. *)
+let test_session_conservation_4_domains () =
   let n = 10_000 in
-  let finished = Atomic.make false in
-  let thieves =
-    Array.init 3 (fun _ ->
-        Domain.spawn (fun () ->
-            let acc = ref [] in
-            let rec loop () =
-              match Pool.Deque.steal_half d with
-              | [] ->
-                if Atomic.get finished then !acc
-                else begin
-                  Domain.cpu_relax ();
-                  loop ()
-                end
-              | xs ->
-                acc := List.rev_append xs !acc;
-                loop ()
-            in
-            loop ()))
-  in
-  let owner_got = ref [] in
-  for i = 0 to n - 1 do
-    Pool.Deque.push d i;
-    if i mod 3 = 0 then
-      match Pool.Deque.pop d with
-      | Some x -> owner_got := x :: !owner_got
-      | None -> ()
-  done;
-  let rec drain () =
-    match Pool.Deque.pop d with
-    | Some x ->
-      owner_got := x :: !owner_got;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  (* thieves only remove and the owner stopped pushing, so empty is
-     final: release the thieves and collect their shares *)
-  Atomic.set finished true;
-  let stolen = Array.to_list thieves |> List.concat_map Domain.join in
-  let all = List.sort compare (stolen @ !owner_got) in
-  Alcotest.(check int) "nothing lost, nothing duplicated" n (List.length all);
-  Alcotest.(check (list int)) "every item exactly once" (List.init n Fun.id) all
+  let runs = Array.init (2 * n) (fun _ -> Atomic.make 0) in
+  let done_ = Atomic.make 0 in
+  Pool.with_pool ~domains:4 (fun pool ->
+      let s =
+        Pool.session_start pool (fun ~worker:_ ~push i ->
+            Atomic.incr runs.(i);
+            if i < n then push (n + i);
+            Atomic.incr done_)
+      in
+      for i = 0 to n - 1 do
+        Pool.session_push s i
+      done;
+      while Atomic.get done_ < 2 * n do
+        Domain.cpu_relax ()
+      done;
+      Pool.session_stop s);
+  Alcotest.(check (list int))
+    "every item ran exactly once"
+    (List.init (2 * n) (fun _ -> 1))
+    (Array.to_list (Array.map Atomic.get runs))
 
 (* ---- parallel exploration ≡ sequential exploration ------------------- *)
 
@@ -369,14 +312,10 @@ let () =
             test_exception_lowest_index;
           Alcotest.test_case "stats counters" `Quick test_pool_stats;
         ] );
-      ( "deque",
+      ( "session",
         [
-          Alcotest.test_case "push/pop LIFO across growth" `Quick
-            test_deque_lifo;
-          Alcotest.test_case "steal_half takes the oldest half" `Quick
-            test_deque_steal_half;
           Alcotest.test_case "conservation under 4 domains" `Quick
-            test_deque_conservation_4_domains;
+            test_session_conservation_4_domains;
         ] );
       ( "explore",
         [

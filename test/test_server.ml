@@ -499,7 +499,7 @@ let test_socket_oversized_and_malformed () =
     (Json.mem_bool "ok" (request_exn conn (req "ping" [])) = Some true)
 
 (* With --jobs > 1 connections are dispatched onto the pool's
-   stealing session; answers must be exactly the sequential ones. *)
+   session; answers must be exactly the sequential ones. *)
 let test_concurrent_jobs () =
   with_server ~jobs:2 @@ fun socket ->
   let conns =
@@ -526,7 +526,7 @@ let test_concurrent_jobs () =
         && String.sub out 0 1 = "1" (* one state, self loop *)))
     conns
 
-(* Jobs dispatched onto the pool's stealing session share the closure
+(* Jobs dispatched onto the pool's session share the closure
    memo tables: a repeated fuzz request must hit what the first one
    memoised, exactly as with --jobs 1. *)
 let test_concurrent_jobs_share_memos () =
