@@ -1,9 +1,9 @@
 (* Hash-consed process IR (the process-side analogue of the closure
    kernel's unique table).
 
-   Every node is interned in a global weak unique table, so structurally
-   equal process terms — in the sense of [Process.equal] — are
-   *physically* equal.  Consequences exploited by the semantic
+   Every node is interned in a global unique table ({!Hashcons}), so
+   structurally equal process terms — in the sense of [Process.equal] —
+   are *physically* equal.  Consequences exploited by the semantic
    pipelines:
 
    - [equal] is pointer equality (O(1)), [hash]/[id] are precomputed
@@ -20,8 +20,8 @@
      field read and shares subterms maximally.
 
    Node ids are allocated from a monotonic counter and never reused.
-   The unique table is weak: nodes unreachable from the program may be
-   collected and later re-interned under a fresh id. *)
+   The unique table keeps every node, so a term re-interned later gets
+   the same node and id back. *)
 
 type t = { id : int; hkey : int; node : node; repr : Process.t }
 
@@ -78,123 +78,39 @@ let node_hash = function
       (comb 7 (Hashtbl.hash n))
       (match a with None -> 0 | Some e -> Expr.hash e)
 
-module Unique = Weak.Make (struct
-  type nonrec t = t
+(* Ids count up from 0 in insertion order across all shards, so they
+   stay globally unique (and, in sequential runs, dense in creation
+   order).  [repr] must be structurally equal to the node's unfolding;
+   callers below either pass the original term being interned or
+   rebuild the view in O(1) from the children's views. *)
+let next_id = Atomic.make 0
 
-  let equal a b = node_equal a.node b.node
-  let hash a = a.hkey
+module Unique = Hashcons.Make (struct
+  type nonrec t = t
+  type key = node
+  type extra = Process.t
+
+  let hash = node_hash
+  let equal node t = node_equal node t.node
+
+  let make ~hash node repr =
+    { id = Atomic.fetch_and_add next_id 1; hkey = hash; node; repr }
+
+  let sentinel = { id = -1; hkey = 0; node = Stop; repr = Process.Stop }
 end)
 
-(* The unique table is sharded by hash: each shard carries its own
-   weak table and its own mutex, so interning on one domain contends
-   only with interning of same-shard nodes on another — not with the
-   whole table.  The critical section per shard is a single hash
-   lookup / insert; recursive descent happens outside.  Shard count is
-   a power of two so selection is a mask on the precomputed hash. *)
-let n_shards = 16
-let shard_mask = n_shards - 1
+let mk = Unique.intern
 
-type shard = {
-  s_lock : Mutex.t;
-  s_table : Unique.t;
-  s_waits : int Atomic.t;  (* contended acquisitions of [s_lock] *)
-  mutable s_misses : int;  (* inserts that created a node, under lock *)
-}
-
-let shards =
-  Array.init n_shards (fun _ ->
-      {
-        s_lock = Mutex.create ();
-        s_table = Unique.create 512;
-        s_waits = Atomic.make 0;
-        s_misses = 0;
-      })
-
-let[@inline] shard_of hkey = shards.(hkey land shard_mask)
-
-let[@inline] locked sh f =
-  if not (Mutex.try_lock sh.s_lock) then begin
-    Atomic.incr sh.s_waits;
-    Mutex.lock sh.s_lock
-  end;
-  match f () with
-  | v ->
-    Mutex.unlock sh.s_lock;
-    v
-  | exception e ->
-    Mutex.unlock sh.s_lock;
-    raise e
-
-(* Ids come from one atomic counter across all shards, so they stay
-   globally unique (and, in sequential runs, dense in creation order).
-   Hits are counted outside the locks (see the fast path in [mk]). *)
-let next_id = Atomic.make 0
-let intern_hits = Atomic.make 0
-
-type shard_stats = { shard_waits : int; shard_misses : int }
-
-type stats = {
-  nodes : int;
-  hits : int;
-  misses : int;
-  lock_waits : int;
-  shards : int;
-}
-
-let shard_stats () =
-  Array.map
-    (fun sh ->
-      locked sh (fun () ->
-          { shard_waits = Atomic.get sh.s_waits; shard_misses = sh.s_misses }))
-    shards
+type stats = { nodes : int; hits : int; misses : int; lock_waits : int }
 
 let stats () =
-  let per = shard_stats () in
-  let misses = Array.fold_left (fun a s -> a + s.shard_misses) 0 per in
+  let nodes = Atomic.get next_id in
   {
-    nodes = misses;
-    hits = Atomic.get intern_hits;
-    misses;
-    lock_waits = Array.fold_left (fun a s -> a + s.shard_waits) 0 per;
-    shards = n_shards;
+    nodes;
+    hits = Unique.hits ();
+    misses = nodes;
+    lock_waits = Unique.lock_waits ();
   }
-
-(* [repr] must be structurally equal to the node's unfolding; callers
-   below either pass the original term being interned or rebuild the
-   view in O(1) from the children's views.
-
-   The table is read-mostly (BENCH_parallel records ~10M hits per
-   exploration against thousands of misses), so the hit path probes
-   without the lock: published nodes are only ever inserted under the
-   lock and [node_equal] compares children by pointer, so a positive
-   probe can only return the canonical node.  A concurrent insert may
-   resize the weak buckets under the probe — any exception (or a
-   spurious miss) falls through to the locked path, which re-checks
-   under mutual exclusion before publishing. *)
-let mk node repr =
-  let hkey = node_hash node in
-  let sh = shard_of hkey in
-  let slow () =
-    locked sh (fun () ->
-        let probe = { id = -1; hkey; node; repr } in
-        match Unique.find_opt sh.s_table probe with
-        | Some interned ->
-          Atomic.incr intern_hits;
-          interned
-        | None ->
-          let candidate =
-            { id = Atomic.fetch_and_add next_id 1; hkey; node; repr }
-          in
-          Unique.add sh.s_table candidate;
-          sh.s_misses <- sh.s_misses + 1;
-          candidate)
-  in
-  match Unique.find_opt sh.s_table { id = -1; hkey; node; repr } with
-  | Some interned ->
-    Atomic.incr intern_hits;
-    interned
-  | None -> slow ()
-  | exception _ -> slow ()
 
 let stop = mk Stop Process.Stop
 

@@ -10,11 +10,9 @@
     children.
 
     Node ids are allocated monotonically and never reused.  The unique
-    table holds nodes weakly: an unreachable node may be collected and
-    a later re-interning of the same term yields a fresh id — ids are
-    stable for as long as the node is held alive (e.g. by a memo table
-    mapping [id → ...] whose entries keep the node reachable, or by the
-    states of an {!Lts.t}). *)
+    table ({!Hashcons}) keeps every node it interns, so ids are stable
+    for the life of the process: re-interning a term, however long
+    after, yields the same node and id. *)
 
 type t
 (** An interned process node.  Abstract: obtain one via {!intern} or
@@ -35,7 +33,7 @@ val node : t -> node
 (** One-level pattern-matching view of the node. *)
 
 val id : t -> int
-(** Unique id, O(1).  Distinct live nodes have distinct ids. *)
+(** Unique id, O(1).  Distinct nodes have distinct ids. *)
 
 val hash : t -> int
 (** Precomputed structural hash, O(1); equal nodes hash equally. *)
@@ -45,7 +43,8 @@ val equal : t -> t -> bool
     thanks to interning. *)
 
 val compare : t -> t -> int
-(** Total order by {!id} (arbitrary but fixed while nodes are live). *)
+(** Total order by {!id} (arbitrary but fixed for the life of the
+    process). *)
 
 val intern : Process.t -> t
 (** Bottom-up interning of a plain AST.  [intern p == intern q] iff
@@ -69,32 +68,18 @@ val subst_value : string -> Csp_trace.Value.t -> t -> t
 (** Substitution of a value for a free variable, mirroring
     {!Process.subst_value}: [Input] rebinding stops the descent. *)
 
-type shard_stats = {
-  shard_waits : int;  (** contended acquisitions of this shard's mutex *)
-  shard_misses : int;  (** nodes created through this shard *)
-}
-
 type stats = {
   nodes : int;
   hits : int;
   misses : int;
   lock_waits : int;
-      (** contended shard-mutex acquisitions, summed over shards (only
-          ever non-zero when several domains intern concurrently; the
-          hit path probes the shard without its lock, so only misses
-          and probe races contend) *)
-  shards : int;  (** shard count of the unique table *)
+      (** contended shard-lock acquisitions (several domains only) *)
 }
 
 val stats : unit -> stats
 (** Interning statistics since program start: nodes created, unique-
     table hits/misses and lock contention.  No table is scanned, so a
-    snapshot stays cheap as the table grows.
-    The unique table is sharded by hash with one mutex per shard, so
-    concurrent interning contends per shard, not globally. *)
-
-val shard_stats : unit -> shard_stats array
-(** Per-shard inserts and contention, in shard order. *)
+    snapshot stays cheap as the table grows. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

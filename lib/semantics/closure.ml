@@ -3,8 +3,8 @@ module Trace = Csp_trace.Trace
 module Channel = Csp_trace.Channel
 module Obs = Csp_obs.Obs
 
-(* Wall-clock spent interning nodes (the unique-table critical section
-   plus the cardinal/depth folds).  Recorded only while telemetry is
+(* Wall-clock spent interning nodes (the unique-table probe, plus the
+   cardinal/depth folds of a new node).  Recorded only while telemetry is
    enabled — [node] is the hottest function in the kernel, so the
    dormant path must not even read the clock. *)
 let node_timer = Obs.Timer.make "closure.node"
@@ -24,11 +24,10 @@ let node_timer = Obs.Timer.make "closure.node"
    - shared subtrees are represented once, which is what keeps the
      3ⁿ-state chains of E11 tractable.
 
-   Node ids are allocated from a monotonic counter and never reused, so
-   compute-table entries keyed on the id of a dead node can never be
-   confused with a live one.  The unique table is weak: nodes
-   unreachable from the program (and from the compute tables) may be
-   collected and later re-interned under a fresh id. *)
+   Node ids are allocated from a monotonic counter and never reused.
+   The unique table ([Csp_lang.Hashcons]) keeps every node, so an id
+   names the same closure for the life of the process and a compute-
+   table entry stays valid until the table is cleared. *)
 
 type t = {
   id : int;
@@ -45,115 +44,42 @@ let equal a b = a == b
 
 (* ---- the unique table ------------------------------------------------ *)
 
-let children_equal xs ys =
-  let rec go xs ys =
-    match xs, ys with
-    | [], [] -> true
-    | (e1, t1) :: xs', (e2, t2) :: ys' ->
-      t1 == t2 && Event.equal e1 e2 && go xs' ys'
-    | _ -> false
-  in
-  go xs ys
+let rec children_equal xs ys =
+  match xs, ys with
+  | [], [] -> true
+  | (e1, t1) :: xs', (e2, t2) :: ys' ->
+    t1 == t2 && Event.equal e1 e2 && children_equal xs' ys'
+  | _ -> false
 
-let children_hash xs =
-  List.fold_left
-    (fun h (e, t) -> ((((h * 31) + Event.hash e) * 31) + t.id) land max_int)
-    17 xs
-
-module Unique = Weak.Make (struct
-  type nonrec t = t
-
-  let equal a b = children_equal a.children b.children
-  let hash a = children_hash a.children
-end)
-
-(* The unique table is sharded by the children hash — one weak table
-   and one mutex per shard — so concurrent interning on several
-   domains contends per shard, not globally (mirroring [Proc]'s
-   sharded intern table).  The critical sections are tiny (a hash
-   lookup / insert); recursive descent and the cardinal/depth folds
-   happen outside any lock. *)
-let n_shards = 16
-let shard_mask = n_shards - 1
-
-(* Contended mutex acquisitions, shards and memo lock together (see
-   [Proc.lock_waits]): probed with [try_lock] so the sequential fast
-   path pays nothing. *)
-let lock_waits = Atomic.make 0
-
-type shard = {
-  s_lock : Mutex.t;
-  s_table : Unique.t;
-  mutable s_misses : int;  (* nodes created through this shard *)
-}
-
-let shards =
-  Array.init n_shards (fun _ ->
-      { s_lock = Mutex.create (); s_table = Unique.create 512; s_misses = 0 })
-
-let[@inline] with_lock m f =
-  if not (Mutex.try_lock m) then begin
-    Atomic.incr lock_waits;
-    Mutex.lock m
-  end;
-  match f () with
-  | v ->
-    Mutex.unlock m;
-    v
-  | exception e ->
-    Mutex.unlock m;
-    raise e
-
-(* The memo lock guards the shared compute tables and their counters,
-   on every domain. *)
-let memo_lock = Mutex.create ()
-let[@inline] locked f = with_lock memo_lock f
-
+(* Id 0 is [empty]'s: [node []] returns it without a probe, so it is
+   never interned. *)
 let next_id = Atomic.make 1
-let memo_hits = ref 0
-let memo_misses = ref 0
-
 let empty = { id = 0; children = []; cardinal = 1; depth = 0 }
 
-let[@inline] shard_of_children children =
-  shards.(children_hash children land shard_mask)
+module Unique = Csp_lang.Hashcons.Make (struct
+  type nonrec t = t
+  type key = (Event.t * t) list
+  type extra = unit
 
-let () = Unique.add (shard_of_children []).s_table empty
+  let hash xs =
+    List.fold_left
+      (fun h (e, t) -> ((((h * 31) + Event.hash e) * 31) + t.id) land max_int)
+      17 xs
 
-let nodes_created () =
-  1 (* [empty] *) + Array.fold_left (fun a sh -> a + sh.s_misses) 0 shards
+  let equal children t = children_equal children t.children
 
-(* Lock-free read probe, locked insert: published nodes are only ever
-   added under their shard's lock and [children_equal] compares
-   children by pointer, so a positive unlocked probe can only return
-   the canonical node.  A concurrent resize may make the probe miss or
-   raise — either falls through to the locked path, which re-checks
-   under mutual exclusion before publishing.  The id counter is only
-   consumed on a real insert, so sequential runs still see dense ids. *)
-let intern_children children =
-  let cardinal =
-    List.fold_left (fun acc (_, t) -> acc + t.cardinal) 1 children
-  and depth =
-    List.fold_left (fun acc (_, t) -> max acc (1 + t.depth)) 0 children
-  in
-  let sh = shard_of_children children in
-  let probe = { id = -1; children; cardinal; depth } in
-  let slow () =
-    with_lock sh.s_lock (fun () ->
-        match Unique.find_opt sh.s_table probe with
-        | Some interned -> interned
-        | None ->
-          let candidate =
-            { id = Atomic.fetch_and_add next_id 1; children; cardinal; depth }
-          in
-          Unique.add sh.s_table candidate;
-          sh.s_misses <- sh.s_misses + 1;
-          candidate)
-  in
-  match Unique.find_opt sh.s_table probe with
-  | Some interned -> interned
-  | None -> slow ()
-  | exception _ -> slow ()
+  let make ~hash:_ children () =
+    {
+      id = Atomic.fetch_and_add next_id 1;
+      children;
+      cardinal =
+        List.fold_left (fun acc (_, t) -> acc + t.cardinal) 1 children;
+      depth =
+        List.fold_left (fun acc (_, t) -> max acc (1 + t.depth)) 0 children;
+    }
+
+  let sentinel = { id = -1; children = []; cardinal = 0; depth = 0 }
+end)
 
 let node children =
   match children with
@@ -163,11 +89,11 @@ let node children =
        allocation on the hot path *)
     if Obs.enabled () then begin
       let t0 = Obs.now_ns () in
-      let r = intern_children children in
+      let r = Unique.intern children () in
       Obs.Timer.observe_ns node_timer (Obs.now_ns () -. t0);
       r
     end
-    else intern_children children
+    else Unique.intern children ()
 
 let prefix a p = node [ (a, p) ]
 
@@ -181,6 +107,31 @@ module Int_pair = struct
 end
 
 module Memo = Hashtbl.Make (Int_pair)
+
+(* Contended acquisitions of the memo lock (see [Proc.stats]'s
+   [lock_waits]): probed with [try_lock] so the sequential fast path
+   pays nothing. *)
+let memo_waits = Atomic.make 0
+
+(* The memo lock guards the shared compute tables and their counters,
+   on every domain. *)
+let memo_lock = Mutex.create ()
+
+let[@inline] locked f =
+  if not (Mutex.try_lock memo_lock) then begin
+    Atomic.incr memo_waits;
+    Mutex.lock memo_lock
+  end;
+  match f () with
+  | v ->
+    Mutex.unlock memo_lock;
+    v
+  | exception e ->
+    Mutex.unlock memo_lock;
+    raise e
+
+let memo_hits = ref 0
+let memo_misses = ref 0
 
 let union_tbl : t Memo.t = Memo.create 4096
 let inter_tbl : t Memo.t = Memo.create 1024
@@ -204,17 +155,15 @@ type stats = {
   memo_hits : int;
   memo_misses : int;
   lock_waits : int;
-  shards : int;
 }
 
 let stats () =
   locked (fun () ->
       {
-        nodes = nodes_created ();
+        nodes = Atomic.get next_id;
         memo_hits = !memo_hits;
         memo_misses = !memo_misses;
-        lock_waits = Atomic.get lock_waits;
-        shards = n_shards;
+        lock_waits = Atomic.get memo_waits + Unique.lock_waits ();
       })
 
 let clear_caches () =
@@ -232,7 +181,6 @@ let () =
         ("memo_hits", Obs.Int s.memo_hits);
         ("memo_misses", Obs.Int s.memo_misses);
         ("lock_waits", Obs.Int s.lock_waits);
-        ("shards", Obs.Int s.shards);
       ])
 
 (* ---- set operations -------------------------------------------------- *)

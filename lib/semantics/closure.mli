@@ -104,21 +104,18 @@ type stats = {
   lock_waits : int;
       (** contended shard/memo-mutex acquisitions (only ever non-zero
           under multi-domain execution) *)
-  shards : int;  (** shard count of the unique table *)
 }
 
 val stats : unit -> stats
-(** Global counters: nodes interned, compute-table hits/misses, lock
-    contention, shard count — exported as the [closure.*] snapshot
-    keys.  No table is scanned, so a snapshot stays cheap as the
-    tables grow.
-
-    The unique table is sharded by hash with one mutex per shard; the
-    compute tables share one mutex, taken on every domain. *)
+(** Global counters: nodes interned, compute-table hits/misses and
+    lock contention — exported as the [closure.*] snapshot keys.  No
+    table is scanned, so a snapshot stays cheap as the tables grow.
+    The compute tables share one mutex, taken on every domain. *)
 
 val clear_caches : unit -> unit
-(** Drop the compute tables (unique table entries become collectable
-    once unreferenced).  Only affects performance, never results. *)
+(** Drop the compute tables.  The unique table keeps every node, so
+    ids and physical equality are unaffected.  Only affects
+    performance, never results. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the maximal traces. *)

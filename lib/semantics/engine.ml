@@ -14,7 +14,6 @@ let () =
         ("hits", Obs.Int s.Proc.hits);
         ("misses", Obs.Int s.Proc.misses);
         ("lock_waits", Obs.Int s.Proc.lock_waits);
-        ("shards", Obs.Int s.Proc.shards);
       ])
 
 type t = {
@@ -72,9 +71,9 @@ let with_seed t seed = { t with seed }
 (* One compile serves every later query through this engine (and its
    [with_depth]/[with_seed] copies, which share the table); on a
    multi-domain engine its building walk runs on the pool.  The cache
-   is keyed by the interned root's id — ids are never reused, and the
-   cached automaton keeps its root alive, so the key stays valid for
-   the automaton's lifetime.  The hit/miss counters let a long-lived
+   is keyed by the interned root's id — the unique table keeps every
+   node and never reuses an id, so a key names the same root for the
+   life of the process.  The hit/miss counters let a long-lived
    host (the [cspc serve] cache-warm story) observe how often a
    request was answered from an already-compiled automaton. *)
 let compile_hits = Obs.Counter.make "engine.compile_hits"

@@ -298,6 +298,45 @@ let prop_hashcons_physical_equality =
       let a = Closure.of_traces ss and b = Closure.of_traces (List.rev ss) in
       Closure.equal a b && Closure.id a = Closure.id b)
 
+(* The unique table keeps every node: a trie built by [add] (which no
+   compute table memoises) re-interns to the same id after a major
+   collection. *)
+let test_id_survives_gc () =
+  let add_fresh () =
+    Closure.id (Closure.add [ ev "gc_probe" 1; ev "gc_probe" 2 ] Closure.empty)
+  in
+  let id = add_fresh () in
+  Gc.full_major ();
+  check_int "same id after a major GC" id (add_fresh ())
+
+(* Canonicity under concurrent interning: four domains build the same
+   tries; the results must be pointer-identical across domains, and the
+   build must intern exactly as many nodes as one sequential build of
+   an isomorphic family (every event carries the family's salt, so
+   neither family shares a node with anything built before it). *)
+let test_intern_concurrent_canonical () =
+  let family salt =
+    let trace i k =
+      List.init (k + 2) (fun j -> ev "conc" ((salt * 10_000) + (i * 10) + j))
+    in
+    Array.init 50 (fun i -> Closure.of_traces (List.init 4 (trace i)))
+  in
+  let nodes () = (Closure.stats ()).Closure.nodes in
+  let n0 = nodes () in
+  ignore (family 1);
+  let sequential = nodes () - n0 in
+  let n1 = nodes () in
+  let results =
+    Pool.with_pool ~domains:4 (fun pool ->
+        Pool.parallel_map pool (fun _ -> family 2) (Array.init 4 Fun.id))
+  in
+  Array.iter
+    (fun per_domain ->
+      check_bool "pointer-identical across domains" true
+        (Array.for_all2 Closure.equal results.(0) per_domain))
+    results;
+  check_int "nodes grow as for one sequential build" sequential (nodes () - n1)
+
 let prop_fold_traces =
   qcheck_case "fold_traces enumerates to_traces in order" closure_gen
     (fun a ->
@@ -416,6 +455,10 @@ let () =
             test_stats_memo_observable;
           Alcotest.test_case "clear_caches resets memo tables" `Quick
             test_stats_clear_caches;
+          Alcotest.test_case "ids survive a major GC" `Quick
+            test_id_survives_gc;
+          Alcotest.test_case "concurrent interning canonical" `Quick
+            test_intern_concurrent_canonical;
         ] );
       ( "hash-consing agreement",
         [

@@ -59,6 +59,18 @@ let test_intern_concurrent_canonical () =
   Alcotest.(check bool) "fast-path hits recorded" true
     (s1.Proc.hits > s0.Proc.hits)
 
+(* The unique table keeps every node: a term whose node nothing else
+   holds re-interns to the same id after a major collection. *)
+let test_id_survives_gc () =
+  let intern_fresh () =
+    let c = Chan_expr.simple "gc_probe" in
+    let k = Process.Output (c, Expr.int 2, Process.Stop) in
+    Proc.id (Proc.intern (Process.Output (c, Expr.int 1, k)))
+  in
+  let id = intern_fresh () in
+  Gc.full_major ();
+  Alcotest.(check int) "same id after a major GC" id (intern_fresh ())
+
 (* re-interning the projected view lands on the very same node: ids and
    hashes agree across interning rounds *)
 let prop_hash_stable =
@@ -152,6 +164,8 @@ let () =
           prop_hash_agrees_on_equal;
           Alcotest.test_case "concurrent interning canonical" `Quick
             test_intern_concurrent_canonical;
+          Alcotest.test_case "ids survive a major GC" `Quick
+            test_id_survives_gc;
         ] );
       ( "round-trips",
         [ prop_print_parse_same_node; prop_scenario_roundtrip ] );
