@@ -12,7 +12,36 @@
     Node ids are allocated monotonically and never reused.  The unique
     table ({!Hashcons}) keeps every node it interns, so ids are stable
     for the life of the process: re-interning a term, however long
-    after, yields the same node and id. *)
+    after, yields the same node and id.
+
+    [Par] and [Hide] nodes carry interned alphabets ({!Alphabet}):
+    rebuilding a network state hashes and compares its alphabets in
+    O(1), and channel membership is a lookup, not a list scan. *)
+
+(** Interned channel sets — the alphabets of [Par] and [Hide] nodes. *)
+module Alphabet : sig
+  type t
+
+  val make : Chan_set.t -> t
+  (** The interned alphabet of a channel set: [make a == make b] iff
+      [Chan_set.equal a b].  Builds the membership index on first
+      interning. *)
+
+  val set : t -> Chan_set.t
+  val id : t -> int
+  (** Unique, never reused; distinct alphabets have distinct ids. *)
+
+  val hash : t -> int
+  (** [Chan_set.hash] of {!set}, precomputed. *)
+
+  val mem : t -> Csp_trace.Channel.t -> bool
+  (** [mem a c = Chan_set.mem (set a) c]: an index by base name, built
+      once per alphabet, answers it without evaluating subscripts. *)
+
+  val subst_value : string -> Csp_trace.Value.t -> t -> t
+  (** [make (Chan_set.subst_value x v (set a))], and [a] itself when
+      [x] is not free in it. *)
+end
 
 type t
 (** An interned process node.  Abstract: obtain one via {!intern} or
@@ -23,11 +52,11 @@ type node =
   | Output of Chan_expr.t * Expr.t * t
   | Input of Chan_expr.t * string * Vset.t * t
   | Choice of t * t
-  | Par of Chan_set.t * Chan_set.t * t * t
-  | Hide of Chan_set.t * t
+  | Par of Alphabet.t * Alphabet.t * t * t
+  | Hide of Alphabet.t * t
   | Ref of string * Expr.t option
       (** One-level view: constructors mirror {!Process.t} with interned
-          children. *)
+          children and alphabets. *)
 
 val node : t -> node
 (** One-level pattern-matching view of the node. *)
@@ -60,8 +89,8 @@ val stop : t
 val output : Chan_expr.t -> Expr.t -> t -> t
 val input : Chan_expr.t -> string -> Vset.t -> t -> t
 val choice : t -> t -> t
-val par : Chan_set.t -> Chan_set.t -> t -> t -> t
-val hide : Chan_set.t -> t -> t
+val par : Alphabet.t -> Alphabet.t -> t -> t -> t
+val hide : Alphabet.t -> t -> t
 val ref_ : string -> Expr.t option -> t
 
 val subst_value : string -> Csp_trace.Value.t -> t -> t

@@ -186,9 +186,15 @@ let transitions_i t q =
    CSR arrays, which only this coordinator grows) and the coordinator
    consumes their results.  Replaying complete tables opens no
    session.  [fallback] counts the appended rows as lazy
-   materialisations (every walk but the building one). *)
+   materialisations (every walk but the building one).
+
+   Rows are derived through a memo of operand rows and partner
+   synchronisations that lives as long as the walk: the sequential
+   path's [memo] below, or each frontier view's own.  Both are dropped
+   when the walk returns, so a compiled automaton keeps its CSR rows
+   and nothing of how they were derived. *)
 let walk ~max_states ?pool ~fallback ~edge t =
-  let fs = ref None in
+  let fs = ref None and memo = Step.memo () in
   let derive q =
     match pool with
     | Some pool when Pool.domains pool > 1 ->
@@ -201,9 +207,12 @@ let walk ~max_states ?pool ~fallback ~edge t =
           s
       in
       Frontier.get s q
-    | _ -> Step.transitions_i t.cfg q
+    | _ -> Step.transitions_memo t.cfg memo q
   in
-  Fun.protect ~finally:(fun () -> Option.iter Frontier.stop !fs) @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      Option.iter Frontier.stop !fs;
+      Step.flush_memo memo)
+  @@ fun () ->
   let visited = ref (Array.make (max 64 t.n_states) (-1)) in
   let order = ref (Array.make 64 0) in
   let n_q = ref 0 in

@@ -3,7 +3,6 @@ module Event = Csp_trace.Event
 module Process = Csp_lang.Process
 module Proc = Csp_lang.Proc
 module Chan_expr = Csp_lang.Chan_expr
-module Chan_set = Csp_lang.Chan_set
 module Expr = Csp_lang.Expr
 module Defs = Csp_lang.Defs
 module Valuation = Csp_lang.Valuation
@@ -118,13 +117,12 @@ and eval_node cfg (senv : senv) depth p =
   | Proc.Par (xa, ya, p1, p2) ->
     Closure.truncate depth
       (Closure.par
-         ~in_x:(fun c -> Chan_set.mem xa c)
-         ~in_y:(fun c -> Chan_set.mem ya c)
+         ~in_x:(Proc.Alphabet.mem xa) ~in_y:(Proc.Alphabet.mem ya)
          (eval_i cfg senv depth p1) (eval_i cfg senv depth p2))
   | Proc.Hide (l, p1) ->
     Closure.truncate depth
       (Closure.hide
-         (fun c -> Chan_set.mem l c)
+         (Proc.Alphabet.mem l)
          (eval_i cfg senv (depth + cfg.hide_extra) p1))
   | Proc.Ref (n, arg) ->
     let argv = Option.map eval_expr arg in

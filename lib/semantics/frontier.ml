@@ -17,7 +17,8 @@
    Shared [Step] caches are frozen for the whole session: every domain
    (the coordinator included) derives through its own view, and all
    views are folded back into the shared caches at {!stop}, when every
-   worker is quiescent. *)
+   worker is quiescent.  Each view derives through its own walk memo
+   of operand rows, which {!stop} drops with the session. *)
 
 module Proc = Csp_lang.Proc
 module Pool = Csp_parallel.Pool

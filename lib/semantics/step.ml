@@ -2,7 +2,6 @@ module Event = Csp_trace.Event
 module Process = Csp_lang.Process
 module Proc = Csp_lang.Proc
 module Chan_expr = Csp_lang.Chan_expr
-module Chan_set = Csp_lang.Chan_set
 module Expr = Csp_lang.Expr
 module Defs = Csp_lang.Defs
 module Valuation = Csp_lang.Valuation
@@ -64,12 +63,20 @@ let unfold_hits = Atomic.make 0
 let unfold_misses = Atomic.make 0
 let trans_hits = Atomic.make 0
 let trans_misses = Atomic.make 0
+let op_hits = Atomic.make 0
+let op_misses = Atomic.make 0
+let sync_hits = Atomic.make 0
+let sync_misses = Atomic.make 0
 
 type stats = {
   unfold_hits : int;
   unfold_misses : int;
   trans_hits : int;
   trans_misses : int;
+  op_hits : int;
+  op_misses : int;
+  sync_hits : int;
+  sync_misses : int;
 }
 
 let stats () =
@@ -78,6 +85,10 @@ let stats () =
     unfold_misses = Atomic.get unfold_misses;
     trans_hits = Atomic.get trans_hits;
     trans_misses = Atomic.get trans_misses;
+    op_hits = Atomic.get op_hits;
+    op_misses = Atomic.get op_misses;
+    sync_hits = Atomic.get sync_hits;
+    sync_misses = Atomic.get sync_misses;
   }
 
 (* Expose the cache counters in [Obs.snapshot] (the CLI's `--stats` and
@@ -90,6 +101,10 @@ let () =
         ("unfold_misses", Obs.Int s.unfold_misses);
         ("trans_hits", Obs.Int s.trans_hits);
         ("trans_misses", Obs.Int s.trans_misses);
+        ("op_hits", Obs.Int s.op_hits);
+        ("op_misses", Obs.Int s.op_misses);
+        ("sync_hits", Obs.Int s.sync_hits);
+        ("sync_misses", Obs.Int s.sync_misses);
       ])
 
 let eval_chan c = Chan_expr.eval Valuation.empty c
@@ -106,17 +121,99 @@ let unfold_i cfg n arg =
     Unfold_tbl.add cfg.unfold_cache (n, arg) q;
     q
 
-(* The derivation functions below are parameterised over [unfold] so
-   the same code serves two cache disciplines: the sequential path
-   writes the shared per-config tables directly ([unfold_i]), the
-   parallel path goes through a domain-local view that treats the
-   shared tables as read-only ([unfold_view]). *)
+(* ---- the walk memo ---------------------------------------------------- *)
+
+(* By §3's law [P ||_{X,Y} Q = (P ⇑ (Y−X)) ∩ (Q ⇑ (X−Y))] a network's
+   moves are a function of its operands' moves, and one operand state
+   sits in many network states.  A memo remembers, for one exploration
+   walk, each [Par] operand's row and each partner's [sync_on]
+   continuations, so a new network state re-derives only the operands
+   that changed.
+
+   A derivation's result does not depend on the fuel it starts with,
+   only whether it runs out does.  Each entry therefore records the
+   fuel its derivation needed — the deepest chain of reference
+   unfoldings it went through, memo hits included — and is reused only
+   where the current fuel covers that need.  Anywhere else the
+   derivation runs again and raises [Unproductive] at the reference
+   where the unmemoised derivation raises it. *)
+
+module Sync_tbl = Hashtbl.Make (struct
+  type t = int * Event.t
+
+  let equal (i1, e1) (i2, e2) = Int.equal i1 i2 && Event.equal e1 e2
+  let hash (i, e) = ((i * 31) + Event.hash e) land max_int
+end)
+
+type row = (Event.t * visibility * Proc.t) list
+
+type memo = {
+  ops : (row * int) Trans_tbl.t;  (* operand id -> row, fuel needed *)
+  syncs : (Proc.t list * int) Sync_tbl.t;
+      (* (partner id, event) -> continuations, fuel needed *)
+  mutable low : int;
+      (* the lowest fuel level the derivation being measured reached *)
+  mutable m_op_hits : int;
+  mutable m_op_misses : int;
+  mutable m_sync_hits : int;
+  mutable m_sync_misses : int;
+}
+
+let memo () =
+  {
+    ops = Trans_tbl.create 64;
+    syncs = Sync_tbl.create 64;
+    low = 0;
+    m_op_hits = 0;
+    m_op_misses = 0;
+    m_sync_hits = 0;
+    m_sync_misses = 0;
+  }
+
+let flush_count a n = if n > 0 then ignore (Atomic.fetch_and_add a n)
+
+let flush_memo m =
+  flush_count op_hits m.m_op_hits;
+  flush_count op_misses m.m_op_misses;
+  flush_count sync_hits m.m_sync_hits;
+  flush_count sync_misses m.m_sync_misses;
+  m.m_op_hits <- 0;
+  m.m_op_misses <- 0;
+  m.m_sync_hits <- 0;
+  m.m_sync_misses <- 0
+
+(* How a derivation unfolds references (through the shared tables or a
+   view), and the walk's memo, if any: the interpreter has none. *)
+type deriv = { unfold : string -> Expr.t option -> Proc.t; memo : memo option }
+
+(* The derivation descends to fuel level [fuel]. *)
+let reach d fuel =
+  (match d.memo with Some m when fuel < m.low -> m.low <- fuel | _ -> ());
+  fuel
+
+(* A memo hit on an entry that needed [need]: the derivation reached
+   [fuel - need]. *)
+let covered m fuel need = if fuel - need < m.low then m.low <- fuel - need
+
+(* [derive ()] and the fuel it needed. *)
+let measure m fuel derive =
+  let outer = m.low in
+  m.low <- fuel;
+  let r = derive () in
+  let need = fuel - m.low in
+  if outer < m.low then m.low <- outer;
+  (r, need)
+
+(* The derivation functions below take a [deriv], so the same code
+   serves the interpreter (shared tables, no memo), a compile walk
+   (shared tables and the walk's memo) and a worker domain's view
+   (private tables and memo). *)
 
 (* Continuations of [p] after engaging in exactly the visible event [e].
    Unlike the transition enumeration below, inputs accept any value of
    their declared set — the passive side of a synchronisation must not
    be restricted to sampled values. *)
-let rec sync_on unfold fuel (e : Event.t) p : Proc.t list =
+let rec sync_on d fuel (e : Event.t) p : Proc.t list =
   match Proc.node p with
   | Proc.Stop -> []
   | Proc.Output (c, ex, k) ->
@@ -129,30 +226,48 @@ let rec sync_on unfold fuel (e : Event.t) p : Proc.t list =
     if Csp_trace.Channel.equal (eval_chan c) e.chan && Csp_lang.Vset.mem m e.value
     then [ Proc.subst_value x e.value k ]
     else []
-  | Proc.Choice (p1, p2) -> sync_on unfold fuel e p1 @ sync_on unfold fuel e p2
+  | Proc.Choice (p1, p2) -> sync_on d fuel e p1 @ sync_on d fuel e p2
   | Proc.Par (xa, ya, p1, p2) ->
-    let in_x = Chan_set.mem xa e.chan and in_y = Chan_set.mem ya e.chan in
+    let in_x = Proc.Alphabet.mem xa e.chan
+    and in_y = Proc.Alphabet.mem ya e.chan in
     if in_x && in_y then
       List.concat_map
         (fun p1' ->
-          List.map (fun p2' -> Proc.par xa ya p1' p2') (sync_on unfold fuel e p2))
-        (sync_on unfold fuel e p1)
+          List.map (fun p2' -> Proc.par xa ya p1' p2') (sync_op d fuel e p2))
+        (sync_op d fuel e p1)
     else if in_x then
-      List.map (fun p1' -> Proc.par xa ya p1' p2) (sync_on unfold fuel e p1)
+      List.map (fun p1' -> Proc.par xa ya p1' p2) (sync_op d fuel e p1)
     else if in_y then
-      List.map (fun p2' -> Proc.par xa ya p1 p2') (sync_on unfold fuel e p2)
+      List.map (fun p2' -> Proc.par xa ya p1 p2') (sync_op d fuel e p2)
     else []
   | Proc.Hide (l, p1) ->
     (* events on concealed channels are not visible to the environment *)
-    if Chan_set.mem l e.chan then []
-    else List.map (fun p1' -> Proc.hide l p1') (sync_on unfold fuel e p1)
+    if Proc.Alphabet.mem l e.chan then []
+    else List.map (fun p1' -> Proc.hide l p1') (sync_on d fuel e p1)
   | Proc.Ref (n, arg) ->
     if fuel <= 0 then raise (Unproductive n)
-    else sync_on unfold (fuel - 1) e (unfold n arg)
+    else sync_on d (reach d (fuel - 1)) e (d.unfold n arg)
+
+(* [sync_on] on an operand of a [Par], through the memo. *)
+and sync_op d fuel e p =
+  match d.memo with
+  | None -> sync_on d fuel e p
+  | Some m -> (
+    let key = (Proc.id p, e) in
+    match Sync_tbl.find_opt m.syncs key with
+    | Some (ks, need) when need <= fuel ->
+      m.m_sync_hits <- m.m_sync_hits + 1;
+      covered m fuel need;
+      ks
+    | _ ->
+      m.m_sync_misses <- m.m_sync_misses + 1;
+      let ((ks, _) as entry) = measure m fuel (fun () -> sync_on d fuel e p) in
+      Sync_tbl.replace m.syncs key entry;
+      ks)
 
 (* Merge transition lists, unioning nothing: duplicates are removed per
    parallel node; the closure union deduplicates the rest. *)
-let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) list =
+let rec transitions_fuel cfg d fuel p : row =
   match Proc.node p with
   | Proc.Stop -> []
   | Proc.Output (c, e, k) ->
@@ -163,22 +278,22 @@ let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) lis
       (fun v -> (Event.make chan v, Visible, Proc.subst_value x v k))
       (Sampler.sample cfg.sampler m)
   | Proc.Choice (p1, p2) ->
-    transitions_fuel cfg unfold fuel p1 @ transitions_fuel cfg unfold fuel p2
+    transitions_fuel cfg d fuel p1 @ transitions_fuel cfg d fuel p2
   | Proc.Par (xa, ya, p1, p2) ->
-    let t1 = transitions_fuel cfg unfold fuel p1
-    and t2 = transitions_fuel cfg unfold fuel p2 in
+    let t1 = transitions_op cfg d fuel p1 in
+    let t2 = transitions_op cfg d fuel p2 in
     let left =
       List.concat_map
         (fun ((e : Event.t), vis, p1') ->
           match vis with
           | Hidden -> [ (e, Hidden, Proc.par xa ya p1' p2) ]
           | Visible ->
-            if Chan_set.mem ya e.chan then
+            if Proc.Alphabet.mem ya e.chan then
               (* shared channel: both operands must engage in the event;
                  the partner accepts any value of its declared input set *)
               List.map
                 (fun p2' -> (e, Visible, Proc.par xa ya p1' p2'))
-                (sync_on unfold fuel e p2)
+                (sync_op d fuel e p2)
             else [ (e, Visible, Proc.par xa ya p1' p2) ])
         t1
     in
@@ -188,19 +303,19 @@ let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) lis
           match vis with
           | Hidden -> [ (e, Hidden, Proc.par xa ya p1 p2') ]
           | Visible ->
-            if Chan_set.mem xa e.chan then
+            if Proc.Alphabet.mem xa e.chan then
               List.map
                 (fun p1' -> (e, Visible, Proc.par xa ya p1' p2'))
-                (sync_on unfold fuel e p1)
+                (sync_op d fuel e p1)
             else [ (e, Visible, Proc.par xa ya p1 p2') ])
         t2
     in
     (* Synchronisations reachable from both sides appear twice; remove
-       exact duplicates.  Visibility is compared by explicit variant
-       match and targets by pointer equality — interning makes the
+       exact duplicates.  Targets are compared by pointer first and
+       visibility by explicit variant match — interning makes the
        whole triple comparison O(1). *)
     let triple_equal (e1, v1, q1) (e2, v2, q2) =
-      Event.equal e1 e2 && vis_equal v1 v2 && Proc.equal q1 q2
+      Proc.equal q1 q2 && vis_equal v1 v2 && Event.equal e1 e2
     in
     List.rev
       (List.fold_left
@@ -210,25 +325,48 @@ let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) lis
   | Proc.Hide (l, p1) ->
     List.map
       (fun ((e : Event.t), vis, p1') ->
-        let vis = if Chan_set.mem l e.chan then Hidden else vis in
+        let vis = if Proc.Alphabet.mem l e.chan then Hidden else vis in
         (e, vis, Proc.hide l p1'))
-      (transitions_fuel cfg unfold fuel p1)
+      (transitions_fuel cfg d fuel p1)
   | Proc.Ref (n, arg) ->
     if fuel <= 0 then raise (Unproductive n)
-    else transitions_fuel cfg unfold (fuel - 1) (unfold n arg)
+    else transitions_fuel cfg d (reach d (fuel - 1)) (d.unfold n arg)
+
+(* The row of an operand of a [Par], through the memo. *)
+and transitions_op cfg d fuel p =
+  match d.memo with
+  | None -> transitions_fuel cfg d fuel p
+  | Some m -> (
+    match Trans_tbl.find_opt m.ops (Proc.id p) with
+    | Some (ts, need) when need <= fuel ->
+      m.m_op_hits <- m.m_op_hits + 1;
+      covered m fuel need;
+      ts
+    | _ ->
+      m.m_op_misses <- m.m_op_misses + 1;
+      let ((ts, _) as entry) =
+        measure m fuel (fun () -> transitions_fuel cfg d fuel p)
+      in
+      Trans_tbl.replace m.ops (Proc.id p) entry;
+      ts)
 
 (* Transitions always start from full fuel, so the state alone keys the
-   memo (fuel only varies inside one derivation, through references). *)
-let transitions_i cfg p =
+   row cache (fuel only varies inside one derivation, through
+   references). *)
+let cached_row cfg memo p =
   match Trans_tbl.find_opt cfg.trans_cache (Proc.id p) with
   | Some ts ->
     Atomic.incr trans_hits;
     ts
   | None ->
     Atomic.incr trans_misses;
-    let ts = transitions_fuel cfg (unfold_i cfg) cfg.unfold_fuel p in
+    let d = { unfold = unfold_i cfg; memo } in
+    let ts = transitions_fuel cfg d cfg.unfold_fuel p in
     Trans_tbl.add cfg.trans_cache (Proc.id p) ts;
     ts
+
+let transitions_i cfg p = cached_row cfg None p
+let transitions_memo cfg m p = cached_row cfg (Some m) p
 
 (* ---- domain-local cache views ---------------------------------------- *)
 
@@ -239,11 +377,14 @@ let transitions_i cfg p =
    local table only.  [merge_view], called by the coordinator at the
    fork-join barrier while the workers are quiescent, folds the local
    discoveries into the shared tables — so cache hits survive the
-   barrier and later layers (or later sequential queries) reuse them. *)
+   barrier and later layers (or later sequential queries) reuse them.
+   The view's memo lives as long as its session's walk: [merge_view]
+   drops it. *)
 type view = {
   v_cfg : config;
   v_unfold : Proc.t Unfold_tbl.t;
-  v_trans : (Event.t * visibility * Proc.t) list Trans_tbl.t;
+  v_trans : row Trans_tbl.t;
+  v_memo : memo;
   mutable v_unfold_hits : int;
   mutable v_unfold_misses : int;
   mutable v_trans_hits : int;
@@ -255,6 +396,7 @@ let view cfg =
     v_cfg = cfg;
     v_unfold = Unfold_tbl.create 32;
     v_trans = Trans_tbl.create 64;
+    v_memo = memo ();
     v_unfold_hits = 0;
     v_unfold_misses = 0;
     v_trans_hits = 0;
@@ -289,11 +431,10 @@ let transitions_view v p =
       ts
     | None ->
       v.v_trans_misses <- v.v_trans_misses + 1;
-      let ts = transitions_fuel v.v_cfg (unfold_view v) v.v_cfg.unfold_fuel p in
+      let d = { unfold = unfold_view v; memo = Some v.v_memo } in
+      let ts = transitions_fuel v.v_cfg d v.v_cfg.unfold_fuel p in
       Trans_tbl.add v.v_trans (Proc.id p) ts;
       ts)
-
-let flush_count a n = if n > 0 then ignore (Atomic.fetch_and_add a n)
 
 let merge_view v =
   let cfg = v.v_cfg in
@@ -309,10 +450,13 @@ let merge_view v =
     v.v_trans;
   Unfold_tbl.reset v.v_unfold;
   Trans_tbl.reset v.v_trans;
+  Trans_tbl.reset v.v_memo.ops;
+  Sync_tbl.reset v.v_memo.syncs;
   flush_count unfold_hits v.v_unfold_hits;
   flush_count unfold_misses v.v_unfold_misses;
   flush_count trans_hits v.v_trans_hits;
   flush_count trans_misses v.v_trans_misses;
+  flush_memo v.v_memo;
   v.v_unfold_hits <- 0;
   v.v_unfold_misses <- 0;
   v.v_trans_hits <- 0;
@@ -333,8 +477,9 @@ let tau_reachable_i cfg p =
 let after_i cfg p e =
   (* [sync_on] rather than a filter over [transitions]: the derivative
      must accept any declared input value, not only sampled ones. *)
+  let d = { unfold = unfold_i cfg; memo = None } in
   List.concat_map
-    (fun q -> sync_on (unfold_i cfg) cfg.unfold_fuel e q)
+    (fun q -> sync_on d cfg.unfold_fuel e q)
     (tau_reachable_i cfg p)
 
 let rec accepts_trace_i cfg p = function

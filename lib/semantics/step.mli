@@ -9,10 +9,28 @@
     States are hash-consed ({!Csp_lang.Proc}): the [_i]-suffixed
     functions work directly on interned nodes, and the plain-AST
     entry points intern on the way in and project back on the way out.
-    Both the reference-unfolding and the transition relation are cached
-    in the configuration, so repeated queries on a shared state space
-    (trace enumeration, LTS exploration, refinement checking) derive
-    each distinct state once. *)
+
+    Three kinds of cache, by lifetime:
+    - the configuration's [unfold_cache] and [trans_cache] live as long
+      as the configuration, so repeated queries on a shared state space
+      (trace enumeration, LTS exploration, refinement checking) derive
+      each distinct state once;
+    - a {!memo} lives for one walk of [Compiled]'s exploration loop
+      (the building walk, or a later one that appends rows): it keeps each
+      [Par] operand's row and each partner's synchronisation
+      continuations, so a new network state re-derives only the
+      operands that changed (the paper's §3 law
+      [P ‖_{X,Y} Q = (P ⇑ (Y−X)) ∩ (Q ⇑ (X−Y))]: a network's moves are
+      a function of its operands' moves);
+    - a {!view} lives for one multi-domain session of such a walk and
+      carries its own memo.
+    A memo entry records the unfold fuel its derivation needed and is
+    reused only where the current fuel covers that need, so a memoised
+    derivation returns the same row, and raises {!Unproductive} on the
+    same inputs with the same name, as an unmemoised one.  Outside a
+    walk ({!transitions_i}, [Lts.explore]'s interpreter) nothing is
+    memoised below the whole-state row: that path is the independent
+    reference the compiled engine is tested against. *)
 
 type visibility = Visible | Hidden
 
@@ -33,6 +51,8 @@ type config = {
     (Csp_trace.Event.t * visibility * Csp_lang.Proc.t) list Trans_tbl.t;
       (** node id → full-fuel transitions, filled on demand *)
 }
+(** Both caches live as long as the configuration; walk memos
+    ({!memo}) are never stored in it. *)
 
 val config :
   ?sampler:Sampler.t ->
@@ -61,6 +81,28 @@ val transitions_i :
     [trans_cache].  Events on channels declared local by an enclosing
     [chan L] are [Hidden]; input events enumerate sampler-chosen
     values. *)
+
+(** {1 Walk memos} *)
+
+type memo
+(** The operand-row and synchronisation memo of one exploration walk. *)
+
+val memo : unit -> memo
+(** A fresh, empty memo.  Create one per walk and drop it when the walk
+    ends: it holds every operand row the walk derived. *)
+
+val transitions_memo :
+  config -> memo -> Csp_lang.Proc.t ->
+  (Csp_trace.Event.t * visibility * Csp_lang.Proc.t) list
+(** {!transitions_i}, deriving a missing row through the memo: a [Par]
+    operand's row is looked up by node id and a partner's
+    synchronisation by (node id, event) wherever the current unfold
+    fuel covers what the entry needed.  Same result, and the same
+    {!Unproductive}, as {!transitions_i}. *)
+
+val flush_memo : memo -> unit
+(** Add the memo's hit/miss counts to the global statistics and reset
+    them.  Call once the walk ends. *)
 
 val tau_reachable_i : config -> Csp_lang.Proc.t -> Csp_lang.Proc.t list
 (** The states reachable by at most [hide_fuel] hidden events (including
@@ -95,14 +137,15 @@ val view : config -> view
 val transitions_view :
   view -> Csp_lang.Proc.t ->
   (Csp_trace.Event.t * visibility * Csp_lang.Proc.t) list
-(** Like {!transitions_i}, but misses populate the view's local table
-    instead of the shared [trans_cache]. *)
+(** Like {!transitions_memo} with the view's memo, but misses populate
+    the view's local table instead of the shared [trans_cache]. *)
 
 val merge_view : view -> unit
-(** Fold the view's local discoveries into the shared caches and flush
-    its hit/miss counts into the global statistics, then reset the view
-    to empty.  Must only be called while no other domain is reading or
-    writing the underlying configuration's caches. *)
+(** Fold the view's local rows and unfoldings into the shared caches,
+    drop its memo, and flush its hit/miss counts into the global
+    statistics, then reset the view to empty.  Must only be called
+    while no other domain is reading or writing the underlying
+    configuration's caches. *)
 
 (** {1 On the plain AST} — intern, compute, project back *)
 
@@ -137,8 +180,13 @@ type stats = {
   unfold_misses : int;
   trans_hits : int;
   trans_misses : int;
+  op_hits : int;  (** operand rows answered by a walk memo *)
+  op_misses : int;  (** operand rows a memoised walk derived *)
+  sync_hits : int;  (** partner synchronisations answered by a memo *)
+  sync_misses : int;  (** partner synchronisations a memoised walk derived *)
 }
 
 val stats : unit -> stats
 (** Global cache counters since program start, summed over every
-    configuration. *)
+    configuration.  Walk memos and views add theirs when flushed
+    ({!flush_memo}, {!merge_view}). *)

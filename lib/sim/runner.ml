@@ -72,7 +72,11 @@ let run ?scheduler ?(seed = 1) ?(monitors = []) ?(max_steps = 1000)
           finish p rev_events rev_trace stats violations Scheduler_stopped
         | Some i ->
           let e, vis, p' = List.nth transitions i in
-          let hist = History.extend hist e in
+          (* only monitors read the history; a run without them (as
+             [cspc deadlock]'s) builds none *)
+          let hist =
+            match monitors with [] -> hist | _ :: _ -> History.extend hist e
+          in
           let rev_trace =
             match vis with
             | Step.Visible -> e :: rev_trace

@@ -118,6 +118,45 @@ let compiled_fallback_qcheck =
          && replies_identical ~bounds:(bounds_around seq 300) fresh_cfg
               compiled p))
 
+(* The walks derive rows through a memo of operand rows and partner
+   synchronisations; every row they store must be the interpreter's,
+   derived from scratch on a fresh configuration.  [budget:1] leaves
+   all rows but the root's to the replay's fallback walk, and each
+   domain count > 1 derives them through the frontier's views. *)
+let row_equal a b =
+  List.equal
+    (fun (e1, v1, q1) (e2, v2, q2) ->
+      Event.equal e1 e2 && Step.vis_equal v1 v2 && Proc.equal q1 q2)
+    a b
+
+let memoised_rows_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"memoised rows = fresh interpreted rows, any budget and domains"
+       Gen.scenario
+       (fun sc ->
+         let fresh_cfg () =
+           Step.config ~sampler:(Sampler.nat_bound 2) sc.Scenario.defs
+         in
+         let p = Process.ref_ sc.Scenario.main in
+         List.for_all
+           (fun domains ->
+             Pool.with_pool ~domains (fun pool ->
+                 List.for_all
+                   (fun budget ->
+                     let c = Compiled.compile ?budget ~pool (fresh_cfg ()) p in
+                     let raw = Compiled.explore_raw ~max_states:300 ~pool c in
+                     let reference = fresh_cfg () in
+                     List.for_all
+                       (fun i ->
+                         let q = raw.Compiled.node i in
+                         row_equal
+                           (Compiled.transitions_i c q)
+                           (Step.transitions_i reference q))
+                       (List.init raw.Compiled.graph.Dot.n_states Fun.id))
+                   [ None; Some 1 ]))
+           domain_counts))
+
 (* ---- determinism across domain counts -------------------------------- *)
 
 let test_philosophers_identical_any_domains () =
@@ -383,6 +422,7 @@ let () =
         [
           compiled_identical_qcheck;
           compiled_fallback_qcheck;
+          memoised_rows_qcheck;
           Alcotest.test_case "philosophers identical at 1/2/4 domains" `Quick
             test_philosophers_identical_any_domains;
         ] );

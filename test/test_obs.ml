@@ -345,6 +345,10 @@ let test_snapshot_pins_instrument_keys () =
       "pool.tasks";
       "sat.checks";
       "sat.trace_evals";
+      "step.op_hits";
+      "step.op_misses";
+      "step.sync_hits";
+      "step.sync_misses";
       "step.trans_hits";
       "step.trans_misses";
     ];

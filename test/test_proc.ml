@@ -116,6 +116,78 @@ let prop_scenario_roundtrip =
               Proc.equal (Proc.intern d.Defs.body) (Proc.intern d'.Defs.body))
           (Scenario.def_list s.Scenario.defs))
 
+(* ---- interned alphabets ----------------------------------------------- *)
+
+let base_names = [ "a"; "b"; "d" ]
+
+(* Closed subscripts, and two kinds that do not evaluate: an unbound
+   variable and a division by zero. *)
+let subscript_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map Expr.int (int_range 0 2);
+        map2
+          (fun a b -> Expr.Add (Expr.int a, Expr.int b))
+          (int_range 0 1) (int_range 0 1);
+        pure (Expr.Const Value.ack);
+        pure (Expr.Var "x");
+        pure (Expr.Div (Expr.int 1, Expr.int 0));
+      ])
+
+let alphabet_item_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2
+          (fun name subs -> Chan_set.Chan { Chan_expr.name; subs })
+          (oneofl base_names)
+          (list_size (int_range 0 2) subscript_gen);
+        map2
+          (fun name (lo, hi) -> Chan_set.Family (name, Vset.Range (lo, hi)))
+          (oneofl base_names)
+          (pair (int_range 0 2) (int_range 0 2));
+        map2
+          (fun name vs -> Chan_set.Family (name, Vset.Enum vs))
+          (oneofl base_names)
+          (list_size (int_range 0 2) value_gen);
+        map (fun name -> Chan_set.Base name) (oneofl base_names);
+      ])
+
+let alphabet_gen = QCheck2.Gen.(list_size (int_range 0 5) alphabet_item_gen)
+
+(* channels on the alphabet's base names and on one it never names *)
+let probe_gen =
+  QCheck2.Gen.(
+    map2
+      (fun name indices -> Channel.make ~indices name)
+      (oneofl ("c" :: base_names))
+      (list_size (int_range 0 2) value_gen))
+
+let prop_alphabet_mem =
+  qcheck_case ~count:500 "alphabet membership agrees with Chan_set.mem"
+    QCheck2.Gen.(pair alphabet_gen (list_size (int_range 1 8) probe_gen))
+    (fun (cs, probes) ->
+      let a = Proc.Alphabet.make cs in
+      List.for_all
+        (fun c -> Bool.equal (Proc.Alphabet.mem a c) (Chan_set.mem cs c))
+        probes)
+
+(* interning canonicalises [Chan_set.equal], and substitution agrees
+   with [Chan_set.subst_value] (then with membership, as above) *)
+let prop_alphabet_interned =
+  qcheck_case ~count:300 "alphabets intern canonically and substitute"
+    QCheck2.Gen.(triple alphabet_gen alphabet_gen value_gen)
+    (fun (cs, cs', v) ->
+      let a = Proc.Alphabet.make cs in
+      let subst = Chan_set.subst_value "x" v cs in
+      Proc.Alphabet.make (List.map Fun.id cs) == a
+      && Bool.equal (Proc.Alphabet.make cs' == a) (Chan_set.equal cs cs')
+      && Proc.Alphabet.subst_value "x" v a == Proc.Alphabet.make subst
+      && Chan_set.equal
+           (Proc.Alphabet.set (Proc.Alphabet.subst_value "x" v a))
+           subst)
+
 (* ---- deterministic DOT output ---------------------------------------- *)
 
 let tick_defs =
@@ -167,6 +239,7 @@ let () =
           Alcotest.test_case "ids survive a major GC" `Quick
             test_id_survives_gc;
         ] );
+      ("alphabets", [ prop_alphabet_mem; prop_alphabet_interned ]);
       ( "round-trips",
         [ prop_print_parse_same_node; prop_scenario_roundtrip ] );
       ( "dot",

@@ -92,6 +92,37 @@ let test_run_seed_threads () =
   check_bool "some seed pair diverges" true
     (List.exists (fun s -> not (Trace.equal (run 1) (run s))) [ 2; 3; 4; 5 ])
 
+(* Only monitors read the channel history, so a run without them
+   builds none; it must still walk exactly as a run whose one monitor
+   always holds. *)
+let test_run_without_monitors () =
+  let module P = Paper.Protocol in
+  let same name cfg p =
+    let run monitors =
+      Runner.run ~scheduler:(Scheduler.uniform ~seed:3) ~monitors
+        ~max_steps:300 cfg p
+    in
+    let bare = run []
+    and watched = run [ Runner.monitor "true" Assertion.True ] in
+    check trace_testable (name ^ ": trace") watched.Runner.trace
+      bare.Runner.trace;
+    check_bool (name ^ ": events") true
+      (List.equal
+         (fun (e1, v1) (e2, v2) -> Event.equal e1 e2 && Step.vis_equal v1 v2)
+         watched.Runner.events bare.Runner.events);
+    check_bool (name ^ ": stop reason") true
+      (watched.Runner.stop = bare.Runner.stop);
+    check_bool (name ^ ": stats") true
+      (watched.Runner.stats = bare.Runner.stats);
+    check_bool (name ^ ": final state") true
+      (Process.equal watched.Runner.final bare.Runner.final);
+    check_int (name ^ ": no violations") 0 (List.length bare.Runner.violations)
+  in
+  same "protocol"
+    (Step.config ~sampler:(Sampler.nat_bound 2) P.defs)
+    P.protocol;
+  same "deadlock" (cfg ()) (out "a" 1 (out "b" 2 Process.Stop))
+
 let test_sampler_shuffled () =
   let base = Sampler.nat_bound 6 in
   let sample seed = Sampler.sample (Sampler.shuffled ~seed base) Vset.Nat in
@@ -209,6 +240,8 @@ let () =
             test_run_seed_threads;
           Alcotest.test_case "shuffled sampler" `Quick test_sampler_shuffled;
           Alcotest.test_case "hidden events" `Quick test_run_hidden_not_in_trace;
+          Alcotest.test_case "no monitors, same walk" `Quick
+            test_run_without_monitors;
           prop_trace_is_visible_projection;
           prop_run_trace_is_legal;
         ] );

@@ -137,6 +137,67 @@ let test_unproductive () =
   | exception Step.Unproductive "loop" -> ()
   | _ -> Alcotest.fail "expected Unproductive"
 
+(* A compile walk memoises operand rows, each with the unfold fuel its
+   derivation needed.  Here the operand [a0] is first derived with
+   enough fuel (as [top]'s left operand, 24 left), then again below
+   the [b0 = … = b10] alias chain, where 13 is left and its 21-deep
+   chain runs out at [a13].  A memo that ignored fuel would answer the
+   second derivation from the first and raise nothing.  [done] is
+   not shared, so no synchronisation derives [a0] on the way. *)
+let test_memo_respects_fuel () =
+  (* [p0 = p1 = … = p<n>], each an alias of the next *)
+  let aliases p n defs =
+    List.fold_left
+      (fun defs i ->
+        Defs.define (Printf.sprintf "%s%d" p i)
+          (Process.ref_ (Printf.sprintf "%s%d" p (i + 1)))
+          defs)
+      defs (List.init n Fun.id)
+  in
+  let x = Chan_set.of_names [ "done" ] and y = Chan_set.of_names [ "other" ] in
+  let par p q = Process.Par (x, y, p, q) in
+  let defs =
+    Defs.empty
+    |> Defs.define "a20" (out "done" 1 Process.Stop)
+    |> aliases "a" 20
+    |> Defs.define "b10" (par (Process.ref_ "a0") Process.Stop)
+    |> aliases "b" 10
+    |> Defs.define "top" (par (Process.ref_ "a0") (Process.ref_ "b0"))
+  in
+  let fresh () =
+    Step.config ~sampler:(Sampler.nat_bound 2) ~unfold_fuel:25 defs
+  in
+  let top = Process.ref_ "top" in
+  let raised f =
+    match f () with _ -> None | exception Step.Unproductive n -> Some n
+  in
+  let interpreted = raised (fun () -> Step.transitions (fresh ()) top) in
+  Alcotest.(check (option string)) "the interpreter runs out at a13" (Some "a13")
+    interpreted;
+  Alcotest.(check (option string)) "the memoised compile raises the same"
+    interpreted
+    (raised (fun () -> Compiled.compile (fresh ()) top));
+  Csp_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check (option string)) "and so does a 2-domain compile"
+        interpreted
+        (raised (fun () -> Compiled.compile ~pool (fresh ()) top)))
+
+(* The memo serves a network's rows from its operands' rows: a
+   copier chain's compile must answer operand rows from it. *)
+let test_memo_hits_on_chain () =
+  let defs, net = Paper.Copier.chain_defs 8 in
+  let cfg = Step.config ~sampler:(Sampler.nat_bound 2) defs in
+  let before = Step.stats () in
+  let c = Compiled.compile cfg net in
+  let after = Step.stats () in
+  (* the network term itself: [cspc graph -p chain] adds a root state
+     for the reference *)
+  check_int "all 6561 states" 6561 (Compiled.n_states c);
+  check_bool "operand rows reused" true
+    (after.Step.op_hits - before.Step.op_hits > 0);
+  check_bool "partner synchronisations reused" true
+    (after.Step.sync_hits - before.Step.sync_hits > 0)
+
 (* Regression for the transition cache's keying: within one query the
    cache can only miss (each state is derived once), so hits must come
    from a *second* query on the same configuration.  A keying bug that
@@ -237,6 +298,10 @@ let () =
         [
           Alcotest.test_case "trans cache hits across queries" `Quick
             test_trans_cache_hits_across_queries;
+          Alcotest.test_case "walk memo respects unfold fuel" `Quick
+            test_memo_respects_fuel;
+          Alcotest.test_case "walk memo hits on a copier chain" `Quick
+            test_memo_hits_on_chain;
         ] );
       ( "traces",
         [
