@@ -236,22 +236,17 @@ let parallel_map t f xs =
 
 (* ---- sessions -------------------------------------------------------- *)
 
-(* A session turns the pool's spawned workers into a frontier
-   scheduler around one shared stack.  It is published as a batch of
-   [n - 1] driver tasks that the submitting domain does not drain, so
-   the caller stays free to coordinate while the drivers run; each
-   driver sleeps until the stack is non-empty, pops the newest item
-   and runs the worker function on it.  Newest first matters: it runs
-   a frontier driver ahead of the coordinator's breadth-first walk
-   instead of beside it, and a FIFO queue measured no [-j 2] speedup
-   at all (DESIGN §12).  Termination is external: the caller decides
-   it has what it needs and calls [session_stop].
+(* A session turns the pool's spawned workers into a scheduler
+   around one shared stack ([cspc serve] runs its connections on one).
+   It is published as a batch of [n - 1] driver tasks that the
+   submitting domain does not drain, so the caller stays free to
+   coordinate while the drivers run; each driver sleeps until the
+   stack is non-empty, pops the newest item and runs the worker
+   function on it.  Termination is external: the caller decides it
+   has what it needs and calls [session_stop].
 
-   Exceptions raised by the worker function are swallowed: the
-   coordinator re-derives deterministically and hits the same
-   exception on the states that matter, and speculation past a
-   truncation bound may legitimately fail where the coordinator never
-   goes. *)
+   Exceptions raised by the worker function are swallowed, so one
+   failing item does not stop a driver. *)
 type 'a session = {
   pool : t;
   items : 'a Stack.t;

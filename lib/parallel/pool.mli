@@ -55,8 +55,8 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** {1 Sessions}
 
-    A session turns the pool's spawned workers into a frontier
-    scheduler around one shared stack: each worker waits until the
+    A session turns the pool's spawned workers into a scheduler
+    around one shared stack: each worker waits until the
     stack is non-empty, pops the newest item and runs
     [f ~worker ~push item].  [push] (like {!session_push}) makes new
     work visible to every worker, the pusher included.

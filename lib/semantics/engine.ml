@@ -69,8 +69,8 @@ let with_depth t depth = { t with depth }
 let with_seed t seed = { t with seed }
 
 (* One compile serves every later query through this engine (and its
-   [with_depth]/[with_seed] copies, which share the table); on a
-   multi-domain engine its building walk runs on the pool.  The cache
+   [with_depth]/[with_seed] copies, which share the table); it runs on
+   the calling domain at any domain count.  The cache
    is keyed by the interned root's id — the unique table keeps every
    node and never reuses an id, so a key names the same root for the
    life of the process.  The hit/miss counters let a long-lived
@@ -87,7 +87,7 @@ let compile ?budget t p =
     c
   | None ->
     Obs.Counter.incr compile_misses;
-    let c = Compiled.compile ?budget ?pool:(pool t) t.step p in
+    let c = Compiled.compile ?budget t.step p in
     Hashtbl.add t.compiled (Proc.id root) c;
     c
 

@@ -57,8 +57,7 @@ let config ?(sampler = Sampler.default) ?(unfold_fuel = 64) ?(hide_fuel = 16)
 exception Unproductive of string
 
 (* Cache counters, exported as the [step.*] snapshot keys.  [Atomic]
-   because the domain-local views below flush their tallies from
-   worker domains. *)
+   because derivations run on any domain ([fuzz --jobs], [serve]). *)
 let unfold_hits = Atomic.make 0
 let unfold_misses = Atomic.make 0
 let trans_hits = Atomic.make 0
@@ -182,8 +181,8 @@ let flush_memo m =
   m.m_sync_hits <- 0;
   m.m_sync_misses <- 0
 
-(* How a derivation unfolds references (through the shared tables or a
-   view), and the walk's memo, if any: the interpreter has none. *)
+(* How a derivation unfolds references, and the walk's memo, if any:
+   the interpreter has none. *)
 type deriv = { unfold : string -> Expr.t option -> Proc.t; memo : memo option }
 
 (* The derivation descends to fuel level [fuel]. *)
@@ -205,9 +204,8 @@ let measure m fuel derive =
   (r, need)
 
 (* The derivation functions below take a [deriv], so the same code
-   serves the interpreter (shared tables, no memo), a compile walk
-   (shared tables and the walk's memo) and a worker domain's view
-   (private tables and memo). *)
+   serves the interpreter (no memo) and a compile walk (the walk's
+   memo). *)
 
 (* Continuations of [p] after engaging in exactly the visible event [e].
    Unlike the transition enumeration below, inputs accept any value of
@@ -353,114 +351,25 @@ and transitions_op cfg d fuel p =
 (* Transitions always start from full fuel, so the state alone keys the
    row cache (fuel only varies inside one derivation, through
    references). *)
-let cached_row cfg memo p =
+let transitions_i cfg p =
   match Trans_tbl.find_opt cfg.trans_cache (Proc.id p) with
   | Some ts ->
     Atomic.incr trans_hits;
     ts
   | None ->
     Atomic.incr trans_misses;
-    let d = { unfold = unfold_i cfg; memo } in
+    let d = { unfold = unfold_i cfg; memo = None } in
     let ts = transitions_fuel cfg d cfg.unfold_fuel p in
     Trans_tbl.add cfg.trans_cache (Proc.id p) ts;
     ts
 
-let transitions_i cfg p = cached_row cfg None p
-let transitions_memo cfg m p = cached_row cfg (Some m) p
-
-(* ---- domain-local cache views ---------------------------------------- *)
-
-(* A view lets a worker domain run [transitions] during a parallel
-   phase without writing the shared per-config tables: lookups go
-   shared-table-first (read-only — safe concurrently as long as nobody
-   writes), then to the local table, and fresh derivations land in the
-   local table only.  [merge_view], called by the coordinator at the
-   fork-join barrier while the workers are quiescent, folds the local
-   discoveries into the shared tables — so cache hits survive the
-   barrier and later layers (or later sequential queries) reuse them.
-   The view's memo lives as long as its session's walk: [merge_view]
-   drops it. *)
-type view = {
-  v_cfg : config;
-  v_unfold : Proc.t Unfold_tbl.t;
-  v_trans : row Trans_tbl.t;
-  v_memo : memo;
-  mutable v_unfold_hits : int;
-  mutable v_unfold_misses : int;
-  mutable v_trans_hits : int;
-  mutable v_trans_misses : int;
-}
-
-let view cfg =
-  {
-    v_cfg = cfg;
-    v_unfold = Unfold_tbl.create 32;
-    v_trans = Trans_tbl.create 64;
-    v_memo = memo ();
-    v_unfold_hits = 0;
-    v_unfold_misses = 0;
-    v_trans_hits = 0;
-    v_trans_misses = 0;
-  }
-
-let unfold_view v n arg =
-  match Unfold_tbl.find_opt v.v_cfg.unfold_cache (n, arg) with
-  | Some q ->
-    v.v_unfold_hits <- v.v_unfold_hits + 1;
-    q
-  | None -> (
-    match Unfold_tbl.find_opt v.v_unfold (n, arg) with
-    | Some q ->
-      v.v_unfold_hits <- v.v_unfold_hits + 1;
-      q
-    | None ->
-      v.v_unfold_misses <- v.v_unfold_misses + 1;
-      let q = Proc.intern (Defs.unfold_ref v.v_cfg.defs Valuation.empty n arg) in
-      Unfold_tbl.add v.v_unfold (n, arg) q;
-      q)
-
-let transitions_view v p =
-  match Trans_tbl.find_opt v.v_cfg.trans_cache (Proc.id p) with
-  | Some ts ->
-    v.v_trans_hits <- v.v_trans_hits + 1;
-    ts
-  | None -> (
-    match Trans_tbl.find_opt v.v_trans (Proc.id p) with
-    | Some ts ->
-      v.v_trans_hits <- v.v_trans_hits + 1;
-      ts
-    | None ->
-      v.v_trans_misses <- v.v_trans_misses + 1;
-      let d = { unfold = unfold_view v; memo = Some v.v_memo } in
-      let ts = transitions_fuel v.v_cfg d v.v_cfg.unfold_fuel p in
-      Trans_tbl.add v.v_trans (Proc.id p) ts;
-      ts)
-
-let merge_view v =
-  let cfg = v.v_cfg in
-  Unfold_tbl.iter
-    (fun k q ->
-      if not (Unfold_tbl.mem cfg.unfold_cache k) then
-        Unfold_tbl.add cfg.unfold_cache k q)
-    v.v_unfold;
-  Trans_tbl.iter
-    (fun k ts ->
-      if not (Trans_tbl.mem cfg.trans_cache k) then
-        Trans_tbl.add cfg.trans_cache k ts)
-    v.v_trans;
-  Unfold_tbl.reset v.v_unfold;
-  Trans_tbl.reset v.v_trans;
-  Trans_tbl.reset v.v_memo.ops;
-  Sync_tbl.reset v.v_memo.syncs;
-  flush_count unfold_hits v.v_unfold_hits;
-  flush_count unfold_misses v.v_unfold_misses;
-  flush_count trans_hits v.v_trans_hits;
-  flush_count trans_misses v.v_trans_misses;
-  flush_memo v.v_memo;
-  v.v_unfold_hits <- 0;
-  v.v_unfold_misses <- 0;
-  v.v_trans_hits <- 0;
-  v.v_trans_misses <- 0
+(* A state-vector leaf of [Compiled]'s walk is a [Par] operand whose
+   parent is not a term: its row and its partners' synchronisations
+   go through the memo exactly as [transitions_op] and [sync_op] take
+   them from inside a [Par] node. *)
+let leaf_deriv cfg m = { unfold = unfold_i cfg; memo = Some m }
+let leaf_row cfg m ~fuel p = transitions_op cfg (leaf_deriv cfg m) fuel p
+let leaf_sync cfg m ~fuel e p = sync_op (leaf_deriv cfg m) fuel e p
 
 let tau_reachable_i cfg p =
   let rec go budget acc p =

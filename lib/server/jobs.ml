@@ -110,7 +110,7 @@ let graph ctx ~process ~max_states ~nat_bound ~compiled =
     if compiled then begin
       record_compile ctx ~process ~budget:(Some max_states) ~nat_bound;
       let c = Engine.compile ~budget:max_states eng p in
-      let r = Compiled.explore_raw ~max_states ?pool c in
+      let r = Compiled.explore_raw ~max_states c in
       Dot.render ~name:process ~status:status_line r.Compiled.graph
     end
     else begin

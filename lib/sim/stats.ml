@@ -9,24 +9,26 @@ type t = {
 
 let empty = { steps = 0; visible = 0; hidden = 0; per_channel = [] }
 
-let bump per_channel c =
+let bump per_channel c k =
   let rec go = function
-    | [] -> [ (c, 1) ]
+    | [] -> [ (c, k) ]
     | (c', n) :: rest ->
-      let k = Channel.compare c c' in
-      if k = 0 then (c', n + 1) :: rest
-      else if k < 0 then (c, 1) :: (c', n) :: rest
+      let o = Channel.compare c c' in
+      if o = 0 then (c', n + k) :: rest
+      else if o < 0 then (c, k) :: (c', n) :: rest
       else (c', n) :: go rest
   in
   go per_channel
 
-let observe t (e : Csp_trace.Event.t) vis =
+let observe_n t (e : Csp_trace.Event.t) vis k =
   {
-    steps = t.steps + 1;
-    visible = (t.visible + match vis with Csp_semantics.Step.Visible -> 1 | _ -> 0);
-    hidden = (t.hidden + match vis with Csp_semantics.Step.Hidden -> 1 | _ -> 0);
-    per_channel = bump t.per_channel e.Csp_trace.Event.chan;
+    steps = t.steps + k;
+    visible = (t.visible + match vis with Csp_semantics.Step.Visible -> k | _ -> 0);
+    hidden = (t.hidden + match vis with Csp_semantics.Step.Hidden -> k | _ -> 0);
+    per_channel = bump t.per_channel e.Csp_trace.Event.chan k;
   }
+
+let observe t e vis = observe_n t e vis 1
 
 let count t c =
   match List.find_opt (fun (c', _) -> Channel.equal c c') t.per_channel with

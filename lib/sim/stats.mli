@@ -10,5 +10,10 @@ type t = {
 
 val empty : t
 val observe : t -> Csp_trace.Event.t -> Csp_semantics.Step.visibility -> t
+
+val observe_n :
+  t -> Csp_trace.Event.t -> Csp_semantics.Step.visibility -> int -> t
+(** [observe_n t e vis k] is [observe] applied [k] times. *)
+
 val count : t -> Csp_trace.Channel.t -> int
 val pp : Format.formatter -> t -> unit

@@ -475,24 +475,6 @@ let prop_oracle_fuzz =
 
 (* ---- the CLI ------------------------------------------------------------ *)
 
-let cli = "../bin/cspc.exe"
-
-let run_cli args =
-  let cmd = Filename.quote_command cli args ^ " 2>/dev/null" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
-  in
-  (Buffer.contents buf, code)
-
 let test_cli_prove_family () =
   let out, code = run_cli [ "prove"; "--family"; "n<=8"; "--model"; "ring" ] in
   check_int "exit 0" 0 code;

@@ -330,6 +330,8 @@ let test_snapshot_pins_instrument_keys () =
       "closure.memo_misses";
       "closure.node.count";
       "closure.nodes";
+      "compiled.leaf_terms";
+      "compiled.leaves";
       "denote.calls";
       "denote.eval_hits";
       "denote.eval_misses";
@@ -364,6 +366,22 @@ let test_snapshot_pins_instrument_keys () =
         (Printf.sprintf "--stats prints %S" needle)
         true found)
     [ "pool.lock_waits = "; "lts.states = "; "sat.checks = " ]
+
+(* A compile's state-vector counters move by its own automaton's
+   figures: the copier chain's eight stages are its leaves, each in
+   three terms (the reference and one output per sampled value). *)
+let test_compiled_vector_counters () =
+  let defs, net = Paper.Copier.chain_defs 8 in
+  let c, deltas =
+    Obs.delta_snapshot (fun () ->
+        Compiled.compile (Step.config ~sampler:(Sampler.nat_bound 2) defs) net)
+  in
+  let moved k = Option.value ~default:0 (List.assoc_opt k deltas) in
+  Alcotest.(check int) "compiled.leaves" 8 (moved "compiled.leaves");
+  Alcotest.(check int) "compiled.leaf_terms" 24 (moved "compiled.leaf_terms");
+  Alcotest.(check int) "compiled.states" 6561 (moved "compiled.states");
+  Alcotest.(check int) "the automaton's own count" (Compiled.leaf_terms c)
+    (moved "compiled.leaf_terms")
 
 (* ---- spans ------------------------------------------------------------ *)
 
@@ -566,6 +584,8 @@ let () =
             test_delta_snapshot_nests;
           Alcotest.test_case "pinned instrument keys" `Quick
             test_snapshot_pins_instrument_keys;
+          Alcotest.test_case "compiled vector counters" `Quick
+            test_compiled_vector_counters;
         ] );
       ( "spans",
         [

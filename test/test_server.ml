@@ -39,27 +39,7 @@ let error_kind resp =
 
 (* ---- the real binary --------------------------------------------------- *)
 
-let cli = "../bin/cspc.exe"
-
-let run_cli args =
-  let cmd = Filename.quote_command cli args ^ " 2>/dev/null" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 4096 in
-  let bytes = Bytes.create 4096 in
-  let rec drain () =
-    let n = input ic bytes 0 (Bytes.length bytes) in
-    if n > 0 then begin
-      Buffer.add_subbytes buf bytes 0 n;
-      drain ()
-    end
-  in
-  drain ();
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
-  in
-  (Buffer.contents buf, code)
+let run_cli = Test_support.run_cli
 
 let slurp path =
   let ic = open_in path in
@@ -81,10 +61,11 @@ let with_temp_source source f =
 let refine_ok_source = "impl = a!0 -> impl\nspec = a!0 -> spec | b!0 -> spec\n"
 let refine_fail_source = "impl = a!0 -> b!0 -> impl\nspec = a!0 -> spec\n"
 
-let protocol_source = slurp "../examples/protocol.csp"
-let copier_source = slurp "corpus/prover-sound-copier.csp"
-let ring_source = slurp "corpus/closure-kernel-token-ring.csp"
-let window_source = slurp "corpus/op-vs-deno-sliding-window.csp"
+let protocol_source = slurp (Test_support.build_file "examples/protocol.csp")
+let corpus_source f = slurp (Test_support.build_file ("test/corpus/" ^ f))
+let copier_source = corpus_source "prover-sound-copier.csp"
+let ring_source = corpus_source "closure-kernel-token-ring.csp"
+let window_source = corpus_source "op-vs-deno-sliding-window.csp"
 
 (* Each case: the server request and the equivalent one-shot command
    line.  The assertion is bytes-for-bytes equality of the server's

@@ -159,3 +159,35 @@ let history_of_pairs pairs =
     (fun h (c, vs) ->
       History.set h (Channel.simple c) (List.map (fun n -> Value.Int n) vs))
     History.empty pairs
+
+(* ---- the real binary ------------------------------------------------ *)
+
+(* A file of the build tree, found from the running test binary
+   ([_build/default/test/*.exe]) rather than the working directory, so
+   a suite runs alike under [dune runtest] (from [_build/default/test])
+   and under [dune exec test/<suite>.exe] (from the repository root). *)
+let build_file rel =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) rel
+
+let cli = build_file (Filename.concat "bin" "cspc.exe")
+
+(* [cspc args]: its stdout and exit code (stderr dropped). *)
+let run_cli args =
+  let cmd = Filename.quote_command cli args ^ " 2>/dev/null" in
+  let ic = Unix.open_process_in cmd in
+  let buf = Buffer.create 4096 in
+  let bytes = Bytes.create 4096 in
+  let rec drain () =
+    let n = input ic bytes 0 (Bytes.length bytes) in
+    if n > 0 then begin
+      Buffer.add_subbytes buf bytes 0 n;
+      drain ()
+    end
+  in
+  drain ();
+  let code =
+    match Unix.close_process_in ic with
+    | Unix.WEXITED n -> n
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
+  in
+  (Buffer.contents buf, code)
