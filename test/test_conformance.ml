@@ -19,8 +19,8 @@ module Fuzz = Csp_testkit.Fuzz
 module Corpus = Csp_testkit.Corpus
 module Scenario = Csp_testkit.Scenario
 
-let corpus_dir = "corpus"
-let examples_dir = Filename.concat ".." "examples"
+let corpus_dir = build_file "test/corpus"
+let examples_dir = build_file "examples"
 let entries = lazy (Corpus.read_dir corpus_dir)
 
 (* ---- corpus replay --------------------------------------------------- *)

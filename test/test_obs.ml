@@ -467,7 +467,8 @@ let disabled_spans_silent =
    splits each request by layer. *)
 let test_graph_request_spans () =
   let source =
-    In_channel.with_open_bin "../examples/protocol.csp" In_channel.input_all
+    In_channel.with_open_bin (Test_support.build_file "examples/protocol.csp")
+      In_channel.input_all
   in
   let ctx =
     match Csp_server.Jobs.ctx_of_source source with
