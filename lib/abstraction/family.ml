@@ -7,7 +7,7 @@ module Vset = Csp_lang.Vset
 module Chan_expr = Csp_lang.Chan_expr
 module Process = Csp_lang.Process
 module Defs = Csp_lang.Defs
-module Lts = Csp_semantics.Lts
+module Dot = Csp_semantics.Dot
 module Term = Csp_assertion.Term
 module Assertion = Csp_assertion.Assertion
 module Obs = Csp_obs.Obs
@@ -254,8 +254,8 @@ let stabilisation_point (t : t) ~lo =
   scan lo 64
 
 let check_class (t : t) ~depth ~max_states rep =
-  let r = Counter.explore ~max_states t.fam ~n:rep in
-  let traces = Counter.visible_traces r.Counter.lts ~depth in
+  let g = (Counter.explore ~max_states t.fam ~n:rep).Counter.graph in
+  let traces = Counter.visible_traces g ~depth in
   let check_trace tr =
     let ctx = Term.ctx ~hist:(History.of_trace tr) () in
     List.find_map
@@ -272,7 +272,7 @@ let check_class (t : t) ~depth ~max_states rep =
     | None -> Ok (List.length traces)
     | Some (tr, name) -> Error (tr, name)
   in
-  (r.Counter.quotient_states, not r.Counter.lts.Lts.complete, checked)
+  (g.Dot.n_states, not g.Dot.complete, checked)
 
 let check_family ?(depth = 6) ?(max_states = 4000) (t : t) ~formula =
   Obs.Counter.incr c_family_checks;

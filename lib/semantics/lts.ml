@@ -213,41 +213,6 @@ let reachable_channels t =
     t.transitions;
   List.rev !out
 
-(* Canonical, numbering-independent form: states (as printed process
-   terms) and transitions (as printed endpoint terms + event) in sorted
-   order, plus the initial state and the completeness flag.  Two
-   explorations of the same process have equal signatures iff they
-   found the same state set and the same transition set. *)
-let signature t =
-  let state_strs = Array.map Process.to_string t.states in
-  let sorted_states = Array.copy state_strs in
-  Array.sort String.compare sorted_states;
-  let edges =
-    List.sort String.compare
-      (List.map
-         (fun tr ->
-           Printf.sprintf "%s --%s%s--> %s" state_strs.(tr.source)
-             (Event.to_string tr.event)
-             (if tr.visible then "" else "~")
-             state_strs.(tr.target))
-         t.transitions)
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "states:%d complete:%b initial:%s\n"
-       (Array.length sorted_states) t.complete state_strs.(t.initial));
-  Array.iter
-    (fun s ->
-      Buffer.add_string buf s;
-      Buffer.add_char buf '\n')
-    sorted_states;
-  List.iter
-    (fun e ->
-      Buffer.add_string buf e;
-      Buffer.add_char buf '\n')
-    edges;
-  Buffer.contents buf
-
 let to_dot ?name ?header t =
   Dot.render ?name ?header
     (Dot.of_transitions ~initial:t.initial ~n_states:(num_states t)

@@ -75,12 +75,6 @@ val explore :
     configuration; a [compiled] whose root is a different process is
     ignored. *)
 
-val signature : t -> string
-(** Canonical, numbering-independent form: sorted printed states,
-    sorted printed transitions, initial state and completeness.  Equal
-    signatures ⇔ same state set, same transition set, whatever the
-    state numbering. *)
-
 val num_states : t -> int
 
 val num_transitions : t -> int

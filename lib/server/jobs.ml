@@ -149,13 +149,13 @@ let find_family model =
 let graph_abstract ~model ~n ~max_states =
   let* fam = find_family model in
   let r = Counter.explore ~max_states fam.Family.fam ~n in
+  let g = r.Counter.graph in
   let buf = Buffer.create 1024 in
   Printf.bprintf buf
     "%d abstract states, %d transitions%s; %d omega collapse(s); %d local \
      state(s) in legend\n"
-    r.Counter.quotient_states
-    (Lts.num_transitions r.Counter.lts)
-    (if r.Counter.lts.Lts.complete then "" else " (truncated)")
+    g.Dot.n_states g.Dot.n_edges
+    (if g.Dot.complete then "" else " (truncated)")
     r.Counter.omega_collapses
     (List.length r.Counter.legend);
   List.iter
@@ -164,8 +164,7 @@ let graph_abstract ~model ~n ~max_states =
   Ok
     {
       output =
-        Lts.to_dot ~name:(model ^ "_abs") ~header:(Buffer.contents buf)
-          r.Counter.lts;
+        Dot.render ~name:(model ^ "_abs") ~header:(Buffer.contents buf) g;
       exit_code = 0;
     }
 

@@ -576,12 +576,12 @@ let family_sound_at (fam : Family.t) ~n =
       let defs, network = concrete_instance fam ~n in
       let cfg = step_config defs in
       let traces = Closure.to_traces (Step.traces cfg ~depth network) in
-      let r = Counter.explore fam.Family.fam ~n in
+      let accepts =
+        Counter.accepts (Counter.explore fam.Family.fam ~n).Counter.graph
+      in
       match
         List.find_opt
-          (fun tr ->
-            not
-              (Counter.accepts r.Counter.lts (Family.abstract_trace fam tr)))
+          (fun tr -> not (accepts (Family.abstract_trace fam tr)))
           traces
       with
       | Some tr ->

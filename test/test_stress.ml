@@ -89,8 +89,8 @@ let test_workers_abstract_64 () =
   let fam = Family.workers in
   let r64 = Counter.explore fam.Family.fam ~n:64 in
   let r8 = Counter.explore fam.Family.fam ~n:8 in
-  check_int "flat beyond the cutoff" r8.Counter.quotient_states
-    r64.Counter.quotient_states;
+  check_int "flat beyond the cutoff" r8.Counter.graph.Dot.n_states
+    r64.Counter.graph.Dot.n_states;
   check_bool "collapses counted" true (r64.Counter.omega_collapses > 0);
   Alcotest.(check string)
     "one assignment class"
