@@ -1,11 +1,17 @@
-(** Compiled successor engine: flat transition tables over dense ids.
+(** Compiled successor engine: a network's automaton over state
+    vectors.
 
-    Every other pipeline *interprets* the interned Proc IR per
+    Every other pipeline {e interprets} the interned Proc IR per
     transition: each successor query is a hashtable probe of
     [Step.config.trans_cache] keyed by node id.  A {!t} holds the
     reachable state space in flat form — the analogue of SPIN
     generating a dedicated [pan] verifier from a model, one automaton
-    per process and one global state vector:
+    per process and one global state vector.
+
+    One walk, two derivations: the vector table, the packed rows, the
+    event table and the exploration loop are {!Walk}'s, which also
+    runs the counter quotient ([Csp_abstraction.Counter]).  This
+    module is the network derivation:
 
     - the root's {e skeleton} is the [Par] and [Hide] nodes reached by
       unfolding its references; every other operand term below them is
@@ -16,22 +22,15 @@
       BFS discovery order (so they coincide with {!Lts.explore}'s state
       numbering).  When the root is a reference to a network, it is
       its own state 0, whose row is its body's;
-    - per-state successor rows packed into growable int arrays:
-      [row_off]/[row_len] index a shared pool of
-      [(event_id, target_id)] pairs plus a visibility byte;
-    - an event table mapping dense event ids back to events.
+    - a missing row is derived from its vector: each leaf's row and its
+      partners' synchronisations come from a walk memo
+      ({!Step.leaf_row}, {!Step.leaf_sync}), once per leaf term, and are
+      combined level by level in exactly the interpreter's order (left
+      moves, then right moves with their partners; exact duplicates
+      dropped at each [Par]; [Hide] relabelling).  Terms for states are
+      built only when asked for ({!node}, {!process}, {!transitions_i}).
 
-    A missing row is derived from its vector: each leaf's row and its
-    partners' synchronisations come from a walk memo
-    ({!Step.leaf_row}, {!Step.leaf_sync}), once per leaf term, and are
-    combined level by level in exactly the interpreter's order (left
-    moves, then right moves with their partners; exact duplicates
-    dropped at each [Par]; [Hide] relabelling).  Terms for states are
-    built only when asked for ({!node}, {!process}, {!transitions_i}).
-
-    There is one exploration loop ({!explore_raw}'s): a FIFO walk with
-    a dense visited array that appends each missing row as it reaches
-    it.  {!compile} is that walk's first run over an empty automaton,
+    {!compile} is the walk's first run over an empty automaton,
     recording no transitions; every later walk replays the tables
     ({!Lts.explore}'s [?compiled] argument), byte-identical to the
     interpreter (state numbering, transition order, truncation, DOT).
@@ -132,17 +131,10 @@ val transitions_i :
     [Proc] term.  The raw result exists so this module does not
     depend on [Lts]. *)
 
-type raw = {
-  graph : Dot.graph;
-      (** the recorded system: states in BFS discovery order, edges in
-          discovery order, the automaton's event table *)
-  state : int -> int;
-      (** state number -> the automaton's state id, for {!node} and
-          {!process} *)
-}
+type raw = Walk.raw = { graph : Dot.graph; state : int -> int }
 
 val explore_raw : ?max_states:int -> t -> raw
-(** The exploration loop, recording: FIFO in BFS discovery order,
-    dense visited array, the interpreter's truncation bookkeeping.
-    Missing rows are appended as fallbacks.  Records an
-    ["explore-compiled"] span (cat [explore]). *)
+(** {!Walk.explore_raw} over the automaton (default [max_states]
+    2000); [state] maps a state number to the id {!node} and
+    {!process} take.  Missing rows are appended as fallbacks.  Records
+    an ["explore-compiled"] span (cat [explore]). *)
