@@ -7,15 +7,13 @@
    experiment re-derives the corresponding claim and prints a
    paper-vs-measured line.  EXPERIMENTS.md records the outputs.
 
-   Part 2 holds the ablations (A1–A2), the two legs that measure what
-   benchmark/ does not — P12, the cost of dormant telemetry
+   Part 2 holds the ablations (A1–A2) and the two legs that measure
+   what benchmark/ does not: P12, the cost of dormant telemetry
    (BENCH_obs.json), and P14, guided against blind fuzzing
-   (BENCH_fuzz.json) — and a Bechamel timing suite (P1–P7)
-   characterising the cost of the semantic operations, the bounded
-   checker, the proof system and the simulator.  The verifier's speed,
-   end to end and per layer, is measured by benchmark/ alone.  The
-   other BENCH_*.json files (P8, P10, P11, P13, P15, P16) are frozen
-   records of legs no longer run.
+   (BENCH_fuzz.json).  The verifier's speed, end to end and per layer,
+   is measured by benchmark/ alone.  The other BENCH_*.json files
+   (P8, P10, P11, P13, P15, P16) are frozen records of legs no longer
+   run.
 
    Run with: dune exec bench/main.exe            (everything)
              dune exec bench/main.exe -- quick   (part 1 only)
@@ -864,171 +862,6 @@ let p14_fuzz_coverage ?(smoke = false) () =
   write_p14_json "BENCH_fuzz.json" ~budget ~counters rows;
   result "  wrote BENCH_fuzz.json\n"
 
-(* ---------------------------------------------------------------------- *)
-(* Part 2: Bechamel timing suites (P1–P6)                                  *)
-(* ---------------------------------------------------------------------- *)
-
-open Bechamel
-open Toolkit
-
-let make_tests () =
-  let sampler = Sampler.nat_bound 2 in
-  (* P1: closure operations *)
-  let closure_of_copier depth =
-    Step.traces (Step.config ~sampler Paper.Copier.defs) ~depth Paper.Copier.copier
-  in
-  let c5 = closure_of_copier 5 and c7 = closure_of_copier 7 in
-  let p1 =
-    Test.make_grouped ~name:"P1-closure"
-      [
-        Test.make ~name:"union(d7)" (Staged.stage (fun () -> Closure.union c7 c7));
-        Test.make ~name:"hide(d7)"
-          (Staged.stage (fun () ->
-               Closure.hide (fun c -> Channel.base c = "wire") c7));
-        Test.make ~name:"par(d5)"
-          (Staged.stage (fun () ->
-               Closure.par
-                 ~in_x:(fun _ -> true)
-                 ~in_y:(fun c -> Channel.base c = "wire")
-                 c5 c5));
-        Test.make ~name:"to_traces(d7)" (Staged.stage (fun () -> Closure.to_traces c7));
-      ]
-  in
-  (* P2: denotational fixpoint, depth sweep *)
-  let p2 =
-    Test.make_indexed ~name:"P2-denote-copier" ~args:[ 3; 5; 7 ] (fun depth ->
-        Staged.stage (fun () ->
-            Denote.denote
-              (Denote.config ~sampler Paper.Copier.defs)
-              ~depth Paper.Copier.copier))
-  in
-  (* P3: operational enumeration, depth sweep on the protocol network *)
-  let p3 =
-    Test.make_indexed ~name:"P3-step-protocol" ~args:[ 3; 4; 5 ] (fun depth ->
-        Staged.stage (fun () ->
-            Step.traces
-              (Step.config ~sampler Paper.Protocol.defs)
-              ~depth Paper.Protocol.network))
-  in
-  (* P4: bounded sat-checking *)
-  let p4 =
-    Test.make_grouped ~name:"P4-satcheck"
-      [
-        Test.make ~name:"copier(d6)"
-          (Staged.stage (fun () ->
-               Sat.check ~depth:6
-                 (Step.config ~sampler Paper.Copier.defs)
-                 Paper.Copier.copier Paper.Copier.copier_spec));
-        Test.make ~name:"protocol(d4)"
-          (Staged.stage (fun () ->
-               Sat.check ~depth:4
-                 (Step.config ~sampler ~hide_fuel:8 Paper.Protocol.defs)
-                 Paper.Protocol.protocol Paper.Protocol.protocol_spec));
-      ]
-  in
-  (* P5: proof construction + checking *)
-  let chain_test n =
-    let defs, chain = Paper.Copier.chain_defs n in
-    let stage_spec i =
-      Assertion.Prefix
-        ( Term.Chan (Chan_expr.indexed "c" (Expr.int i)),
-          Term.Chan (Chan_expr.indexed "c" (Expr.int (i - 1))) )
-    in
-    let tables =
-      Tactic.tables
-        ~invariants:
-          (List.init n (fun i ->
-               (Paper.Copier.stage_name (i + 1), stage_spec (i + 1))))
-        ()
-    in
-    let ctx = Sequent.context defs in
-    fun () ->
-      match
-        Tactic.prove_and_check ~tables ctx
-          (Sequent.Holds (chain, Paper.Copier.chain_spec n))
-      with
-      | Ok _ -> ()
-      | Error m -> failwith m
-  in
-  let p5 =
-    Test.make_grouped ~name:"P5-prove"
-      [
-        Test.make ~name:"copier"
-          (Staged.stage (fun () ->
-               Tactic.prove_and_check ~tables:Paper.Copier.tables
-                 (Sequent.context Paper.Copier.defs)
-                 (Sequent.Holds (Paper.Copier.copier, Paper.Copier.copier_spec))));
-        Test.make ~name:"table1"
-          (Staged.stage (fun () ->
-               Tactic.prove_and_check ~tables:Paper.Protocol.tables
-                 (Sequent.context Paper.Protocol.defs)
-                 (Sequent.Holds (Paper.Protocol.sender, Paper.Protocol.sender_spec))));
-        Test.make ~name:"chain4" (Staged.stage (chain_test 4));
-        Test.make ~name:"chain8" (Staged.stage (chain_test 8));
-      ]
-  in
-  (* P6: simulator throughput (1000 steps per run) *)
-  let p6 =
-    Test.make_grouped ~name:"P6-simulate"
-      [
-        Test.make ~name:"protocol-1000steps"
-          (Staged.stage (fun () ->
-               Runner.run
-                 ~scheduler:(Scheduler.uniform ~seed:1)
-                 ~max_steps:1000
-                 (Step.config ~sampler Paper.Protocol.defs)
-                 Paper.Protocol.protocol));
-        Test.make ~name:"multiplier-1000steps"
-          (Staged.stage (fun () ->
-               let m = Paper.Multiplier.default in
-               Runner.run
-                 ~scheduler:(Scheduler.uniform ~seed:1)
-                 ~max_steps:1000
-                 (Step.config ~sampler m.Paper.Multiplier.defs)
-                 m.Paper.Multiplier.multiplier));
-      ]
-  in
-  let p7 =
-    Test.make_grouped ~name:"P7-failures"
-      [
-        Test.make ~name:"receiver(d3)"
-          (Staged.stage (fun () ->
-               Failures.failures
-                 (Step.config ~sampler Paper.Protocol.defs)
-                 ~depth:3 Paper.Protocol.receiver));
-        Test.make ~name:"lts-protocol"
-          (Staged.stage (fun () ->
-               Lts.explore ~max_states:500
-                 (Step.config ~sampler Paper.Protocol.defs)
-                 Paper.Protocol.protocol));
-      ]
-  in
-  [ p1; p2; p3; p4; p5; p6; p7 ]
-
-let run_timings () =
-  section "P1-P7: timing (Bechamel, monotonic clock; ns per run)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) ~stabilize:false ()
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.iter (fun (name, v) ->
-             let est =
-               match Analyze.OLS.estimates v with
-               | Some [ e ] -> Printf.sprintf "%14.1f ns/run" e
-               | _ -> "  (no estimate)"
-             in
-             result "  %-36s %s\n" name est))
-    (make_tests ())
-
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match mode with
@@ -1062,7 +895,6 @@ let () =
       a1_prover_ablation ();
       a2_closure_ablation ();
       p12_obs_overhead ();
-      p14_fuzz_coverage ();
-      run_timings ()
+      p14_fuzz_coverage ()
     end;
     print_newline ()
