@@ -26,6 +26,28 @@ type facts = {
 
 let dot_escape s = String.concat "\\\"" (String.split_on_char '"' s)
 
+(* A graph name prints bare when DOT reads it as an identifier: a
+   letter or underscore, then letters, digits and underscores, and not
+   one of DOT's (case-insensitive) keywords.  Any other name is
+   quoted. *)
+let dot_id name =
+  let ident_char first c =
+    c = '_'
+    || (c >= 'a' && c <= 'z')
+    || (c >= 'A' && c <= 'Z')
+    || ((not first) && c >= '0' && c <= '9')
+  in
+  let bare =
+    name <> ""
+    && ident_char true name.[0]
+    && String.for_all (ident_char false) name
+    && not
+         (List.mem
+            (String.lowercase_ascii name)
+            [ "node"; "edge"; "graph"; "digraph"; "subgraph"; "strict" ])
+  in
+  if bare then name else "\"" ^ dot_escape name ^ "\""
+
 let rec add_nat buf n =
   if n >= 10 then add_nat buf (n / 10);
   Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
@@ -160,7 +182,7 @@ let render ?(name = "lts") ?(header = "") ?status g =
   Buffer.add_string buf header;
   Buffer.add_string buf status;
   Buffer.add_string buf "digraph ";
-  Buffer.add_string buf name;
+  Buffer.add_string buf (dot_id name);
   Buffer.add_string buf " {\n  rankdir=LR;\n";
   add_node buf g.initial " [style=bold];\n";
   let dead s = row.(s) = row.(s + 1) && not g.truncated.(s) in

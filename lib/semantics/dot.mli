@@ -61,7 +61,9 @@ val render :
   ?name:string -> ?header:string -> ?status:(facts -> string) -> graph -> string
 (** [header] (default empty) is written first, then [status facts]
     when [status] is given (the facts are computed only then), then
-    the digraph [name] (default ["lts"]): the initial state bold,
+    the digraph [name] (default ["lts"]; quoted unless it is an
+    identifier [\[A-Za-z_\]\[A-Za-z0-9_\]*] and no DOT keyword, so
+    it is always a valid DOT ID): the initial state bold,
     deadlock states doubly circled, truncated states dashed, hidden
     edges dashed.  Each event's label is printed and escaped once per
     call.  Records a ["to_dot"] span (cat [export]). *)

@@ -268,15 +268,15 @@ let test_quotient_pinned () =
       ( "token-ring", 2, 200,
         "4 abstract states, 4 transitions; 0 omega collapse(s); 6 local \
          state(s) in legend",
-        "53bd0b7feecd9f9cb83ceddb8fcd2c38" );
+        "5c4a2c9b50be83f36269573bfcb3cd72" );
       ( "token-ring", 4, 200,
         "6 abstract states, 10 transitions; 3 omega collapse(s); 6 local \
          state(s) in legend",
-        "241fbac694a69336b1a23abed66017f3" );
+        "9a8d6ef82903c0991e93421ca55cdad1" );
       ( "token-ring", 8, 200,
         "6 abstract states, 10 transitions; 3 omega collapse(s); 6 local \
          state(s) in legend",
-        "241fbac694a69336b1a23abed66017f3" );
+        "9a8d6ef82903c0991e93421ca55cdad1" );
       ( "leader", 2, 200,
         "3 abstract states, 3 transitions; 0 omega collapse(s); 5 local \
          state(s) in legend",
@@ -317,6 +317,37 @@ let test_quotient_pinned () =
         "2000 abstract states, 6420 transitions (truncated); 3468 omega \
          collapse(s); 13 local state(s) in legend",
         "01d2789d6c8965df137a82d565031d5e" );
+    ]
+
+(* Every reply names its digraph with a valid DOT ID, after the
+   preset's canonical name whatever spelling of it was asked for:
+   bare when it is an identifier, quoted otherwise (token-ring's
+   hyphen). *)
+let test_graph_names_are_dot_ids () =
+  let digraph_line out =
+    match
+      List.find_opt
+        (fun l -> String.starts_with ~prefix:"digraph " l)
+        (String.split_on_char '\n' out)
+    with
+    | Some l -> l
+    | None -> Alcotest.fail "no digraph line"
+  in
+  List.iter
+    (fun (model, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%S opens its digraph" model)
+        expected
+        (digraph_line (graph_abstract model ~n:3 ~max_states:50)))
+    [
+      ("token-ring", "digraph \"token-ring_abs\" {");
+      (" Ring ", "digraph \"token-ring_abs\" {");
+      ("ring", "digraph \"token-ring_abs\" {");
+      ("leader", "digraph leader_abs {");
+      ("phils", "digraph philosophers_abs {");
+      ("philosophers", "digraph philosophers_abs {");
+      ("pool", "digraph workers_abs {");
+      ("workers", "digraph workers_abs {");
     ]
 
 let test_initial_signature_saturates () =
@@ -709,6 +740,8 @@ let () =
             test_ring_deterministic;
           Alcotest.test_case "graph replies pinned" `Quick
             test_quotient_pinned;
+          Alcotest.test_case "graph names are DOT IDs" `Quick
+            test_graph_names_are_dot_ids;
           Alcotest.test_case "initial signature saturates" `Quick
             test_initial_signature_saturates;
           Alcotest.test_case "accepts" `Quick test_ring_accepts;

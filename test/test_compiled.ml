@@ -341,7 +341,18 @@ let test_ungrouped_dot () =
   Alcotest.(check bool) "reference: nondeterministic on a.1" false
     (Lts.is_deterministic lts);
   Alcotest.(check (list int)) "reference: state 2 deadlocks" [ 2 ]
-    (Lts.deadlock_states lts)
+    (Lts.deadlock_states lts);
+  (* a name DOT would not read as an identifier is quoted *)
+  List.iter
+    (fun (name, id) ->
+      let dot = Lts.to_dot ~name lts in
+      Alcotest.(check string) (name ^ " as a DOT ID") ("digraph " ^ id ^ " {")
+        (String.sub dot 0 (String.index dot '\n')))
+    [
+      ("hand_2", "hand_2"); ("_x", "_x"); ("token-ring", "\"token-ring\"");
+      (" Ring ", "\" Ring \""); ("2x", "\"2x\""); ("node", "\"node\"");
+      ("Digraph", "\"Digraph\""); ("a\"b", "\"a\\\"b\""); ("", "\"\"");
+    ]
 
 (* ---- the automaton itself -------------------------------------------- *)
 
