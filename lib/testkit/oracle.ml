@@ -38,9 +38,12 @@ let step_config defs = Csp_semantics.Engine.step_config (engine defs)
 let denote_config defs = Csp_semantics.Engine.denote_config (engine defs)
 let failf fmt = Format.kasprintf (fun m -> Fail m) fmt
 
+(* A cancelled serve job unwinds through here: [Coop.Cancelled] is
+   not a verdict. *)
 let protect check s =
-  try check s
-  with e -> Fail ("uncaught exception: " ^ Printexc.to_string e)
+  try check s with
+  | Csp_parallel.Coop.Cancelled as e -> raise e
+  | e -> Fail ("uncaught exception: " ^ Printexc.to_string e)
 
 (* Shortcut composition: run the checks in order, stop at the first
    failure. *)

@@ -300,6 +300,78 @@ let test_num_transitions_matches_list () =
     (List.length quotiented.Lts.transitions)
     (Lts.num_transitions quotiented)
 
+(* ---- cooperative slices --------------------------------------------- *)
+
+module Coop = Csp_parallel.Coop
+
+let spin seconds =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < seconds do
+    ()
+  done
+
+let rec finish pauses = function
+  | Coop.Done v -> (v, pauses)
+  | Coop.Paused k -> finish (pauses + 1) (Effect.Deep.continue k ())
+
+let paused what = function
+  | Coop.Paused k -> k
+  | Coop.Done _ -> Alcotest.failf "%s: expected a pause" what
+
+let test_coop_slices () =
+  (* outside a slice a yield never pauses (it would raise Unhandled) *)
+  spin 0.002;
+  Coop.yield ();
+  let job () =
+    let acc = ref 0 in
+    for i = 1 to 5 do
+      spin 0.002;
+      acc := !acc + i;
+      Coop.yield ()
+    done;
+    !acc
+  in
+  let v, pauses = finish 0 (Coop.slice job) in
+  Alcotest.(check int) "the job's own result" 15 v;
+  Alcotest.(check bool) "paused at its yields, at most once each" true
+    (pauses >= 1 && pauses <= 5);
+  (* a job without yield points runs to completion *)
+  match Coop.slice (fun () -> spin 0.002; 7) with
+  | Coop.Done 7 -> ()
+  | _ -> Alcotest.fail "a job with no yield point paused"
+
+let test_coop_lock () =
+  let m = Mutex.create () in
+  let hold () =
+    Coop.lock m;
+    Fun.protect ~finally:(fun () -> Mutex.unlock m) @@ fun () ->
+    spin 0.002;
+    Coop.yield ();
+    "held"
+  in
+  let wait () =
+    Coop.lock m;
+    Mutex.unlock m;
+    "locked"
+  in
+  let holder = paused "holder" (Coop.slice hold) in
+  (* the waiter pauses on the held lock at once, quantum or not, and
+     again on each resume while it is held *)
+  let waiter = paused "waiter" (Coop.slice wait) in
+  let waiter = paused "waiter again" (Effect.Deep.continue waiter ()) in
+  Alcotest.(check (pair string int)) "holder finishes" ("held", 0)
+    (finish 0 (Effect.Deep.continue holder ()));
+  Alcotest.(check (pair string int)) "waiter gets the lock" ("locked", 0)
+    (finish 0 (Effect.Deep.continue waiter ()));
+  (* discontinuing a paused job runs its finalisers *)
+  let job = paused "job" (Coop.slice hold) in
+  (match Effect.Deep.discontinue job Coop.Cancelled with
+  | exception Coop.Cancelled -> ()
+  | _ -> Alcotest.fail "a discontinued job finished");
+  Alcotest.(check bool) "lock released by the cancelled job" true
+    (Mutex.try_lock m);
+  Mutex.unlock m
+
 let () =
   Alcotest.run "parallel"
     [
@@ -311,6 +383,12 @@ let () =
           Alcotest.test_case "lowest-indexed exception" `Quick
             test_exception_lowest_index;
           Alcotest.test_case "stats counters" `Quick test_pool_stats;
+        ] );
+      ( "coop",
+        [
+          Alcotest.test_case "slices pause at yields" `Quick test_coop_slices;
+          Alcotest.test_case "lock waits and cancellation" `Quick
+            test_coop_lock;
         ] );
       ( "session",
         [
