@@ -23,11 +23,11 @@ let slurp path =
   with Sys_error m -> die "%s" m
 
 (* Read and parse a .csp file into a cold job context. *)
-let load ?domains path =
+let load path =
   Obs.span ~cat:"cli" "load"
     ~args:(fun () -> [ ("path", Obs.String path) ])
   @@ fun () ->
-  match Jobs.ctx_of_source ?domains (slurp path) with
+  match Jobs.ctx_of_source (slurp path) with
   | Ok ctx -> ctx
   | Error m -> die "%s: %s" path m
 
@@ -235,7 +235,7 @@ let cmd_deadlock path name steps runs nat_bound seed telemetry =
    preset family at instance size [--size] instead of a concrete file.
    With [-o], the DOT text (from its "digraph" line on) goes to the
    file and the status lines stay on stdout. *)
-let cmd_graph path name max_states nat_bound output jobs abstract model fam_n
+let cmd_graph path name max_states nat_bound output abstract model fam_n
     telemetry =
   with_telemetry "graph" telemetry @@ fun () ->
   let o =
@@ -253,8 +253,7 @@ let cmd_graph path name max_states nat_bound output jobs abstract model fam_n
         | Some n -> n
         | None -> die "--process is required unless --abstract is given"
       in
-      Jobs.graph (load ~domains:jobs path) ~process ~max_states ~nat_bound
-        ~compiled:true
+      Jobs.graph (load path) ~process ~max_states ~nat_bound ~compiled:true
   in
   let o = ok_or_die o in
   match output with
@@ -291,12 +290,10 @@ let cmd_refusals path name depth nat_bound telemetry =
 
 (* ---- refine ------------------------------------------------------------ *)
 
-let cmd_refine path impl spec depth nat_bound weak jobs telemetry =
+let cmd_refine path impl spec depth nat_bound weak telemetry =
   with_telemetry "refine" telemetry @@ fun () ->
   finish
-    (ok_or_die
-       (Jobs.refine (load ~domains:jobs path) ~impl ~spec ~depth ~nat_bound
-          ~weak))
+    (ok_or_die (Jobs.refine (load path) ~impl ~spec ~depth ~nat_bound ~weak))
 
 (* ---- infer ------------------------------------------------------------ *)
 
@@ -332,17 +329,16 @@ module Server = Csp_server.Server
 module Protocol = Csp_server.Protocol
 module Json = Csp_persist.Json
 
-let cmd_serve socket jobs warm max_frame max_states max_depth max_cases
+let cmd_serve socket warm max_frame max_states max_depth max_cases
     max_sources telemetry =
   with_telemetry "serve" telemetry @@ fun () ->
   let limits =
     { Protocol.max_frame; max_states; max_depth; max_cases; max_sources }
   in
-  let cfg = Server.config ~jobs ~limits ?warm socket in
+  let cfg = Server.config ~limits ?warm socket in
   let ready () =
-    Printf.eprintf "cspc serve: listening on %s (jobs=%d%s)\n%!" socket
-      (max 1 jobs)
-      (match warm with Some f -> ", warm from " ^ f | None -> "")
+    Printf.eprintf "cspc serve: listening on %s%s\n%!" socket
+      (match warm with Some f -> " (warm from " ^ f ^ ")" | None -> "")
   in
   match Server.run ~ready cfg with Ok () -> () | Error m -> die "%s" m
 
@@ -419,13 +415,6 @@ let runs_arg = Arg.(value & opt int 20 & info [ "runs" ] ~doc:"Number of runs")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print full proof tables")
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for parallel exploration/fuzzing (results are \
-              identical to -j 1; only wall-clock changes)")
 
 (* One shared telemetry term, appended to every subcommand. *)
 let telemetry_arg =
@@ -564,8 +553,7 @@ let graph_cmd =
              with --abstract counter, graph a family's abstract quotient")
     Term.(
       const cmd_graph $ opt_path_arg $ opt_name $ max_states $ nat_arg $ out
-      $ jobs_arg $ abstract $ model_arg $ fam_n
-      $ telemetry_arg)
+      $ abstract $ model_arg $ fam_n $ telemetry_arg)
 
 let refusals_cmd =
   Cmd.v
@@ -596,7 +584,7 @@ let refine_cmd =
              bisimilar to it)")
     Term.(
       const cmd_refine $ path_arg $ name_arg $ spec $ depth_arg 5 $ nat_arg
-      $ weak $ jobs_arg $ telemetry_arg)
+      $ weak $ telemetry_arg)
 
 let infer_cmd =
   Cmd.v
@@ -656,6 +644,13 @@ let fuzz_cmd =
                 counters.  Deterministic for a fixed seed at any --jobs; \
                 prints the coverage curve and the minimised corpus size")
   in
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:"Worker domains the cases are sharded over (the report is \
+                identical to -j 1; only wall-clock changes)")
+  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differential conformance fuzzing: generate random scenarios \
@@ -664,7 +659,7 @@ let fuzz_cmd =
              are shrunk and printed as parseable .csp text")
     Term.(
       const cmd_fuzz $ seed $ cases $ budget $ oracles $ save $ replay
-      $ jobs_arg $ coverage $ telemetry_arg)
+      $ jobs $ coverage $ telemetry_arg)
 
 let deadlock_cmd =
   Cmd.v
@@ -736,7 +731,7 @@ let serve_cmd =
              (newline-delimited JSON) from one shared cache-warm engine, \
              byte-identical to the one-shot subcommands")
     Term.(
-      const cmd_serve $ socket_arg $ jobs_arg $ warm $ max_frame $ max_states
+      const cmd_serve $ socket_arg $ warm $ max_frame $ max_states
       $ max_depth $ max_cases $ max_sources $ telemetry_arg)
 
 let client_cmd =

@@ -225,6 +225,9 @@ let span ?(cat = "") ?(args = no_args) name f =
       f
   end
 
+let span_depth () = (Domain.DLS.get dls_buf).stack_depth
+let set_span_depth d = (Domain.DLS.get dls_buf).stack_depth <- d
+
 let event_compare a b =
   let c = Float.compare a.ts_ns b.ts_ns in
   if c <> 0 then c

@@ -106,6 +106,16 @@ val span : ?cat:string -> ?args:(unit -> (string * value) list) -> string -> (un
     telemetry is enabled.  Spans nest per domain: concurrent spans on
     other domains land in their own buffers. *)
 
+val span_depth : unit -> int
+(** The calling domain's span nesting depth: the [depth] a span
+    started now would record. *)
+
+val set_span_depth : int -> unit
+(** Set the calling domain's depth, for code that switches between
+    jobs on one domain ([Csp_parallel.Coop]): each job's spans then
+    nest from its own depth, not from the depth another job paused
+    at. *)
+
 val events : unit -> event list
 (** Every recorded event, across all domains, sorted by start time
     (ties by domain then name).  Call while the process is quiescent

@@ -5,6 +5,8 @@
    code now running is such a job and when it last resumed, so a
    [yield] outside any slice is one DLS read and one branch. *)
 
+module Obs = Csp_obs.Obs
+
 type _ Effect.t += Pause : unit Effect.t
 
 exception Cancelled
@@ -16,17 +18,32 @@ type 'a status =
 (* How long a job runs before its next [yield] pauses it. *)
 let quantum = 0.001
 
-type state = { mutable sliced : bool; mutable resumed : float }
+(* [outer_depth] is the span depth of whoever started or last resumed
+   the running job. *)
+type state = {
+  mutable sliced : bool;
+  mutable resumed : float;
+  mutable outer_depth : int;
+}
 
-let state = Domain.DLS.new_key (fun () -> { sliced = false; resumed = 0. })
+let state =
+  Domain.DLS.new_key (fun () ->
+      { sliced = false; resumed = 0.; outer_depth = 0 })
 
 (* The job re-arms itself when its continuation is resumed, and also
    when it is discontinued: a job that catches the exception keeps
-   pausing, so whoever cancels it can discontinue it again. *)
+   pausing, so whoever cancels it can discontinue it again.  The
+   domain's span depth is the job's while it runs and the caller's
+   while it is paused, so a job started meanwhile nests its spans
+   from the caller's depth. *)
 let pause s =
   s.sliced <- false;
+  let depth = Obs.span_depth () in
+  Obs.set_span_depth s.outer_depth;
   Fun.protect
     ~finally:(fun () ->
+      s.outer_depth <- Obs.span_depth ();
+      Obs.set_span_depth depth;
       s.sliced <- true;
       s.resumed <- Unix.gettimeofday ())
     (fun () -> Effect.perform Pause)
@@ -54,15 +71,20 @@ let slice f =
   else begin
     s.sliced <- true;
     s.resumed <- Unix.gettimeofday ();
+    s.outer_depth <- Obs.span_depth ();
+    let finish () =
+      s.sliced <- false;
+      Obs.set_span_depth s.outer_depth
+    in
     Effect.Deep.match_with f ()
       {
         retc =
           (fun v ->
-            s.sliced <- false;
+            finish ();
             Done v);
         exnc =
           (fun e ->
-            s.sliced <- false;
+            finish ();
             raise e);
         effc =
           (fun (type b) (eff : b Effect.t) ->

@@ -1,6 +1,6 @@
 (** Cooperative slices: long jobs that share one domain.
 
-    [cspc serve] at [--jobs 1] runs every request through {!slice}.
+    [cspc serve] runs every request through {!slice}.
     A job pauses only at its {!yield} points (every 16th row of a
     walk, each fuzz case), and only once it has run for {!quantum}
     seconds since it last resumed; the caller then resumes it, or
@@ -9,8 +9,11 @@
 
     A paused job keeps whatever it holds: a job that needs a mutex a
     paused job holds waits with {!lock}, which pauses on every failed
-    attempt.  Slices do not nest: {!slice} under a slice runs the job
-    to completion. *)
+    attempt.  It does not keep the domain's span depth
+    ({!Csp_obs.Obs.span_depth}): a pause restores the depth of the
+    caller, and a resume the job's own, so each job's spans record
+    the depths they have when it runs alone.  Slices do not nest:
+    {!slice} under a slice runs the job to completion. *)
 
 type 'a status =
   | Done of 'a

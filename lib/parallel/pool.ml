@@ -16,9 +16,8 @@ let workers_spawned = Atomic.make 0
 let batches_run = Atomic.make 0
 let tasks_run = Atomic.make 0
 let caller_tasks_run = Atomic.make 0
-let session_tasks_run = Atomic.make 0
 
-(* Contended acquisitions of a pool or session mutex, probed with
+(* Contended acquisitions of a pool mutex, probed with
    [try_lock] so the uncontended path pays one extra branch.  A worker
    parked on a condition variable does not count — only acquisitions
    that actually found the mutex held. *)
@@ -37,7 +36,6 @@ type stats = {
   tasks : int;
   caller_tasks : int;
   lock_waits : int;
-  session_tasks : int;
 }
 
 let stats () =
@@ -48,7 +46,6 @@ let stats () =
     tasks = Atomic.get tasks_run;
     caller_tasks = Atomic.get caller_tasks_run;
     lock_waits = Atomic.get lock_waits;
-    session_tasks = Atomic.get session_tasks_run;
   }
 
 (* Telemetry: the registry snapshot exposes the same counters, so
@@ -63,7 +60,6 @@ let () =
         ("tasks", Obs.Int s.tasks);
         ("caller_tasks", Obs.Int s.caller_tasks);
         ("lock_waits", Obs.Int s.lock_waits);
-        ("session_tasks", Obs.Int s.session_tasks);
       ])
 
 type batch = {
@@ -233,81 +229,3 @@ let parallel_map t f xs =
     exec_batch t n (fun i -> out.(i) <- Some (f xs.(i)));
     Array.map (function Some y -> y | None -> assert false) out
   end
-
-(* ---- sessions -------------------------------------------------------- *)
-
-(* A session turns the pool's spawned workers into a scheduler
-   around one shared stack ([cspc serve] runs its connections on one).
-   It is published as a batch of [n - 1] driver tasks that the
-   submitting domain does not drain, so the caller stays free to
-   coordinate while the drivers run; each driver sleeps until the
-   stack is non-empty, pops the newest item and runs the worker
-   function on it.  Termination is external: the caller decides it
-   has what it needs and calls [session_stop].
-
-   Exceptions raised by the worker function are swallowed, so one
-   failing item does not stop a driver. *)
-type 'a session = {
-  pool : t;
-  items : 'a Stack.t;
-  s_mutex : Mutex.t;
-  nonempty : Condition.t;  (* an item was pushed, or the session stopped *)
-  mutable stopped : bool;
-  mutable drivers : batch option;  (* until [session_stop] awaits it *)
-}
-
-let session_push s x =
-  lock_mutex s.s_mutex;
-  Stack.push x s.items;
-  Condition.signal s.nonempty;
-  Mutex.unlock s.s_mutex
-
-let drive s f ~worker =
-  let push = session_push s in
-  let rec loop () =
-    lock_mutex s.s_mutex;
-    while (not s.stopped) && Stack.is_empty s.items do
-      Condition.wait s.nonempty s.s_mutex
-    done;
-    if s.stopped then Mutex.unlock s.s_mutex
-    else begin
-      let x = Stack.pop s.items in
-      Mutex.unlock s.s_mutex;
-      (try f ~worker ~push x with _ -> ());
-      Atomic.incr session_tasks_run;
-      loop ()
-    end
-  in
-  Obs.span ~cat:"pool" "session-drive" loop
-
-let session_start t f =
-  let s =
-    {
-      pool = t;
-      items = Stack.create ();
-      s_mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      stopped = false;
-      drivers = None;
-    }
-  in
-  if t.n > 1 then begin
-    let b = make_batch (t.n - 1) (fun worker -> drive s f ~worker) in
-    publish t b;
-    s.drivers <- Some b
-  end;
-  s
-
-let session_stop s =
-  lock_mutex s.s_mutex;
-  s.stopped <- true;
-  Condition.broadcast s.nonempty;
-  Mutex.unlock s.s_mutex;
-  Option.iter
-    (fun b ->
-      s.drivers <- None;
-      await s.pool b;
-      (* driver-machinery failures only: the worker function's own
-         exceptions are swallowed above *)
-      reraise b)
-    s.drivers

@@ -14,8 +14,7 @@
     task.  Tasks of one batch are
     claimed dynamically (an atomic cursor over the task indices), so
     uneven task costs balance themselves; there is no preemption
-    between batches.  A {e session} instead keeps the spawned workers
-    on one shared stack of work items until the caller stops it.
+    between batches.
 
     Pools are quiescent between batches: idle workers block on a
     condition variable and consume no CPU.  A pool holds its domains
@@ -23,9 +22,9 @@
     forgotten pool never prevents process exit).
 
     One batch runs at a time per pool; batches must be submitted from
-    a single domain at a time (the typical owner is the engine that
-    created the pool).  Tasks must not themselves submit batches to
-    the same pool. *)
+    a single domain at a time (the typical owner is the caller of
+    {!with_pool}, such as a sharded fuzz campaign).
+    Tasks must not themselves submit batches to the same pool. *)
 
 type t
 
@@ -53,38 +52,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     raises, the batch still runs to completion and the exception of
     the lowest-indexed failing task is re-raised in the caller. *)
 
-(** {1 Sessions}
-
-    A session turns the pool's spawned workers into a scheduler
-    around one shared stack: each worker waits until the
-    stack is non-empty, pops the newest item and runs
-    [f ~worker ~push item].  [push] (like {!session_push}) makes new
-    work visible to every worker, the pusher included.
-
-    While a session is open the pool must not run batches
-    ({!parallel_map}) — the spawned workers are occupied by the
-    session's driver loops.  The caller coordinates from its own
-    domain and closes the session with {!session_stop}. *)
-
-type 'a session
-
-val session_start :
-  t -> (worker:int -> push:('a -> unit) -> 'a -> unit) -> 'a session
-(** Open a session on the pool, starting one driver loop per spawned
-    worker ([domains - 1] of them; a 1-domain pool starts none).
-    [worker] ranges over [0 .. domains - 2] and names the driver, so
-    [f] may keep per-driver state.  The session is speculative:
-    exceptions in [f] are swallowed (the coordinator is expected to
-    re-derive authoritatively). *)
-
-val session_push : 'a session -> 'a -> unit
-(** Push work from the caller onto the shared stack. *)
-
-val session_stop : 'a session -> unit
-(** Stop the session (idempotent): signal every driver and wait for
-    the spawned workers to leave their loops.  Items still queued are
-    discarded. *)
-
 (** {1 Statistics}
 
     Global counters, summed over every pool since program start;
@@ -96,8 +63,7 @@ type stats = {
   batches : int;      (** fork-join barriers executed *)
   tasks : int;        (** tasks claimed and run, across all batches *)
   caller_tasks : int; (** of those, tasks run by the submitting domain *)
-  lock_waits : int;   (** contended pool/session-mutex acquisitions *)
-  session_tasks : int;  (** items processed by sessions *)
+  lock_waits : int;   (** contended pool-mutex acquisitions *)
 }
 
 val stats : unit -> stats

@@ -240,14 +240,14 @@ let combine tp tq =
 (* Route each side's exploration through a compiled automaton when a
    compiler is supplied (identical results either way — the compiled
    path replays the interpreted numbering byte for byte). *)
-let explore_side ?compiler ~max_states ?pool cfg p =
+let explore_side ?compiler ~max_states cfg p =
   match compiler with
-  | Some compile -> Lts.explore ~max_states ?pool ~compiled:(compile p) cfg p
-  | None -> Lts.explore ~max_states ?pool cfg p
+  | Some compile -> Lts.explore ~max_states ~compiled:(compile p) cfg p
+  | None -> Lts.explore ~max_states cfg p
 
-let weak_equivalent ?(max_states = 2000) ?pool ?compiler cfg p q =
-  let tp = explore_side ?compiler ~max_states ?pool cfg p
-  and tq = explore_side ?compiler ~max_states ?pool cfg q in
+let weak_equivalent ?(max_states = 2000) ?compiler cfg p q =
+  let tp = explore_side ?compiler ~max_states cfg p
+  and tq = explore_side ?compiler ~max_states cfg q in
   if not (tp.Lts.complete && tq.Lts.complete) then false
   else begin
     let np = Array.length tp.Lts.states in
@@ -255,9 +255,9 @@ let weak_equivalent ?(max_states = 2000) ?pool ?compiler cfg p q =
     classes.(tp.Lts.initial) = classes.(tq.Lts.initial + np)
   end
 
-let equivalent ?(max_states = 2000) ?pool ?compiler cfg p q =
-  let tp = explore_side ?compiler ~max_states ?pool cfg p
-  and tq = explore_side ?compiler ~max_states ?pool cfg q in
+let equivalent ?(max_states = 2000) ?compiler cfg p q =
+  let tp = explore_side ?compiler ~max_states cfg p
+  and tq = explore_side ?compiler ~max_states cfg q in
   if not (tp.Lts.complete && tq.Lts.complete) then false
   else begin
     let np = Array.length tp.Lts.states in

@@ -57,7 +57,7 @@ let config ?(sampler = Sampler.default) ?(unfold_fuel = 64) ?(hide_fuel = 16)
 exception Unproductive of string
 
 (* Cache counters, exported as the [step.*] snapshot keys.  [Atomic]
-   because derivations run on any domain ([fuzz --jobs], [serve]). *)
+   because derivations run on any domain ([fuzz --jobs]). *)
 let unfold_hits = Atomic.make 0
 let unfold_misses = Atomic.make 0
 let trans_hits = Atomic.make 0

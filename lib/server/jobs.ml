@@ -7,14 +7,13 @@ type ctx = {
   digest : string;
   source : string;
   file : Parser.file;
-  domains : int;
   engines : (int, Engine.t) Hashtbl.t;
   mutable compiled_roots : Snapshot.compiled_root list;
   mutable proofs : (string * (Sequent.judgment * Proof.t)) list;
   lock : Mutex.t;
 }
 
-let ctx_of_source ?(domains = 1) source =
+let ctx_of_source source =
   match Parser.parse_file source with
   | Error m -> Error m
   | Ok file ->
@@ -23,7 +22,6 @@ let ctx_of_source ?(domains = 1) source =
         digest = Digest.to_hex (Digest.string source);
         source;
         file;
-        domains;
         engines = Hashtbl.create 2;
         compiled_roots = [];
         proofs = [];
@@ -38,9 +36,7 @@ let engine ctx ~nat_bound =
   match Hashtbl.find_opt ctx.engines nat_bound with
   | Some eng -> eng
   | None ->
-    let eng =
-      Engine.create ~domains:ctx.domains ~nat_bound ctx.file.Parser.defs
-    in
+    let eng = Engine.create ~nat_bound ctx.file.Parser.defs in
     Hashtbl.add ctx.engines nat_bound eng;
     eng
 
@@ -105,7 +101,6 @@ let status_line (f : Dot.facts) =
 let graph ctx ~process ~max_states ~nat_bound ~compiled =
   let* p = find_process ctx process in
   let eng = engine ctx ~nat_bound in
-  let pool = Engine.pool eng in
   let output =
     if compiled then begin
       record_compile ctx ~process ~budget:(Some max_states) ~nat_bound;
@@ -114,7 +109,7 @@ let graph ctx ~process ~max_states ~nat_bound ~compiled =
       Dot.render ~name:process ~status:status_line r.Compiled.graph
     end
     else begin
-      let lts = Lts.explore ~max_states ?pool (Engine.step_config eng) p in
+      let lts = Lts.explore ~max_states (Engine.step_config eng) p in
       let facts =
         {
           Dot.states = Lts.num_states lts;
@@ -183,9 +178,7 @@ let refine ctx ~impl ~spec ~depth ~nat_bound ~weak =
     record_compile ctx ~process:spec ~budget:(Some 2000) ~nat_bound;
     ignore (compiler p);
     ignore (compiler q);
-    let bisimilar =
-      Bisim.weak_equivalent ?pool:(Engine.pool eng) ~compiler cfg p q
-    in
+    let bisimilar = Bisim.weak_equivalent ~compiler cfg p q in
     Ok
       {
         output =

@@ -22,7 +22,6 @@ type ctx = {
   digest : string;  (** MD5 of the source text — the cache key *)
   source : string;
   file : Csp_syntax.Parser.file;
-  domains : int;  (** worker domains of every engine this ctx creates *)
   engines : (int, Engine.t) Hashtbl.t;  (** keyed by [nat_bound] *)
   mutable compiled_roots : Csp_persist.Snapshot.compiled_root list;
       (** compile calls issued so far, newest first, deduplicated *)
@@ -33,11 +32,8 @@ type ctx = {
           engine caches are single-writer *)
 }
 
-val ctx_of_source : ?domains:int -> string -> (ctx, string) result
-(** Parse and cache-key a source; [Error] is the parser's message.
-    [domains] (default 1) is the CLI's [-j]: graph and weak refine
-    jobs explore on the engine's pool, with byte-identical output at
-    any domain count. *)
+val ctx_of_source : string -> (ctx, string) result
+(** Parse and cache-key a source; [Error] is the parser's message. *)
 
 val engine : ctx -> nat_bound:int -> Engine.t
 (** The shared engine of this context for the given sampler bound,

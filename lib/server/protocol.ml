@@ -72,6 +72,11 @@ let read_frame r =
         | n ->
           Buffer.add_subbytes r.buf r.chunk 0 n;
           go ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          (* a non-blocking socket holds no more for now: keep what
+             arrived for the next call *)
+          r.carry <- Buffer.contents r.buf;
+          `Partial
         | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
           `Eof
       end
@@ -115,7 +120,8 @@ let request conn j =
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | () -> (
     match read_frame conn.reader with
-    | `Eof -> Error "server closed the connection"
+    (* [`Partial] only comes from a non-blocking socket *)
+    | `Eof | `Partial -> Error "server closed the connection"
     | `Too_large -> Error "response frame too large"
     | `Frame line -> (
       match Json.parse line with

@@ -43,22 +43,26 @@ type reader
 
 val reader : ?max_frame:int -> Unix.file_descr -> reader
 
-val read_frame : reader -> [ `Frame of string | `Eof | `Too_large ]
-(** Next newline-terminated frame, without the newline.  Buffered
+val read_frame :
+  reader -> [ `Frame of string | `Partial | `Eof | `Too_large ]
+(** Next newline-terminated frame, without the newline.  On a
+    non-blocking socket that holds no complete frame yet, [`Partial]:
+    the bytes read so far stay buffered for the next call.  Buffered
     bytes never exceed [max_frame]; on [`Too_large] the connection
     must be dropped (the frame boundary is lost). *)
 
 val buffered_frame : reader -> bool
 (** Whether a complete frame is already buffered, so the next
     {!read_frame} will return without touching the socket.  The
-    server's event loop uses this to drain pipelined requests before
-    handing the connection back to the poller. *)
+    server does not watch such a connection for its peer closing
+    while the connection's job is paused. *)
 
 val write_frame : Unix.file_descr -> Csp_persist.Json.t -> unit
-(** Write the value as one frame: {!Csp_persist.Json.to_line}, whose
-    newline is printed into the same buffer as the text.  Raises
-    [Unix.Unix_error] ([EPIPE]/[ECONNRESET]) if the peer vanished —
-    callers treat that as a normal disconnect. *)
+(** Write the value as one frame ({!Csp_persist.Json.to_line}), blocking
+    until the socket has taken all of it.  The client side of
+    {!request}; the server writes through a per-connection output
+    buffer instead.  Raises [Unix.Unix_error] ([EPIPE]/[ECONNRESET])
+    if the peer vanished. *)
 
 (** {1 Client} *)
 

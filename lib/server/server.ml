@@ -6,13 +6,12 @@ module Parser = Csp_syntax.Parser
 
 type config = {
   socket_path : string;
-  jobs : int;
   limits : Protocol.limits;
   warm : string option;
 }
 
-let config ?(jobs = 1) ?(limits = Protocol.default_limits) ?warm socket_path =
-  { socket_path; jobs = max 1 jobs; limits; warm }
+let config ?(limits = Protocol.default_limits) ?warm socket_path =
+  { socket_path; limits; warm }
 
 type t = {
   table : (string, Jobs.ctx) Hashtbl.t;  (* keyed by source digest *)
@@ -55,8 +54,8 @@ let touch t digest =
   Hashtbl.replace t.stamps digest !(t.clock)
 
 (* Evict least-recently-used contexts until the table fits one more
-   entry.  Caller holds [table_lock].  A worker still running a job on
-   an evicted context keeps its own reference and finishes normally —
+   entry.  Caller holds [table_lock].  A job still running (or paused)
+   on an evicted context keeps its own reference and finishes normally —
    eviction only drops the cache slot, so the next request on that
    source re-parses cold. *)
 let evict_for_insert t =
@@ -92,8 +91,9 @@ let ctx_for t source =
     | Error m -> Error m
     | Ok ctx ->
       Mutex.lock t.table_lock;
-      (* another worker may have parsed the same source meanwhile; the
-         first one in wins so there is exactly one ctx per digest *)
+      (* another domain calling [handle_line] may have parsed the same
+         source meanwhile; the first one in wins so there is exactly
+         one ctx per digest *)
       let ctx =
         match Hashtbl.find_opt t.table digest with
         | Some existing -> existing
@@ -239,8 +239,8 @@ let with_ctx t req job =
   match ctx_for t source with
   | Error m -> Error (Protocol.Parse_error, m)
   | Ok ctx ->
-    (* at [--jobs 1] the lock may be held by a paused job on this very
-       thread: every context lock is taken with [Coop.lock] *)
+    (* the lock may be held by a paused job on this very domain: every
+       context lock is taken with [Coop.lock] *)
     Coop.lock ctx.Jobs.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock ctx.Jobs.lock) @@ fun () ->
     job ctx
@@ -413,106 +413,74 @@ let handle_line t line = Json.to_string (respond t line)
    connection, or the server shut down. *)
 let cancelled = Obs.Counter.make "serve.cancelled"
 
-(* One live connection: the reader persists across dispatches so
-   bytes buffered past the last processed frame are not lost. *)
-type live = { fd : Unix.file_descr; reader : Protocol.reader }
-
-(* The connection's next complete frame, or [None] when it must close.
-   A peer that vanished (EOF mid-frame) only closes this connection. *)
-let next_frame t live =
-  match Protocol.read_frame live.reader with
-  | `Frame line -> Some line
-  | `Eof -> None
-  | `Too_large ->
-    (* the frame boundary is lost: answer once, then drop the
-       connection rather than try to resynchronise *)
-    (try
-       Protocol.write_frame live.fd
-         (Protocol.error_response Protocol.Frame_too_large
-            (Printf.sprintf "frame exceeds %d bytes"
-               t.limits.Protocol.max_frame))
-     with Unix.Unix_error _ -> ());
-    None
-  | exception Unix.Unix_error _ -> None
-
-(* Write a reply and say what the connection does next: serve the
-   frame pipelined behind it, go back to the poller, or close (EPIPE
-   on the reply, or a [shutdown]). *)
-let reply t live resp =
-  match Protocol.write_frame live.fd resp with
-  | () ->
-    if Atomic.get t.stop then `Close
-    else if Protocol.buffered_frame live.reader then `More
-    else `Keep
-  | exception Unix.Unix_error _ -> `Close
-
-(* Serve every complete frame currently available on the connection —
-   the one whose arrival woke the poller, plus any pipelined behind
-   it — and report whether the connection should be kept.  The pool's
-   workers serve connections this way. *)
-let process_ready t live =
-  let rec go () =
-    match next_frame t live with
-    | None -> `Close
-    | Some line -> (
-      match reply t live (respond t line) with
-      | `More -> go ()
-      | (`Keep | `Close) as r -> r)
-  in
-  try go () with _ -> `Close
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+(* One live connection, on a non-blocking socket.  The reader keeps
+   the bytes of a frame still arriving; [out] holds a reply the socket
+   has taken [sent] bytes of.  While [out] is not empty or the
+   connection's job is paused ([busy]), the next frame is not read, so
+   replies leave in request order and at most one waits per
+   connection. *)
+type conn = {
+  fd : Unix.file_descr;
+  reader : Protocol.reader;
+  mutable out : string;
+  mutable sent : int;
+  mutable busy : bool;
+  mutable closing : bool;  (* close once [out] is written *)
+  mutable closed : bool;
+}
 
 (* A job paused between slices, with the connection it answers.  While
    [watched], the poller watches that connection for its peer closing;
    one with pipelined bytes is not watched until the job ends. *)
 type paused = {
-  conn : live;
+  conn : conn;
   k : (unit, Json.t Coop.status) Effect.Deep.continuation;
   mutable watched : bool;
 }
 
+let would_block = function
+  | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR -> true
+  | _ -> false
+
 (* What a paused job's connection holds now: nothing, the peer's
-   end of stream, or pipelined bytes.  The zero-timeout [select] makes
-   sure the peek does not block: the round's own [select] may have seen
-   bytes that starting a job has read since. *)
+   end of stream, or pipelined bytes.  The socket is non-blocking, so
+   the peek never waits. *)
 let peek_conn fd =
-  match Unix.select [ fd ] [] [] 0. with
-  | [], _, _ | (exception Unix.Unix_error _) -> `Quiet
-  | _ -> (
-    match Unix.recv fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
-    | 0 -> `Closed
-    | _ -> `Pipelined
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Quiet
-    | exception Unix.Unix_error _ -> `Closed)
+  match Unix.recv fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
+  | 0 -> `Closed
+  | _ -> `Pipelined
+  | exception Unix.Unix_error (e, _, _) when would_block e -> `Quiet
+  | exception Unix.Unix_error _ -> `Closed
 
-(* Discontinue a paused job: its finalisers release what it holds.  A
-   job that swallows [Coop.Cancelled] pauses again, and is
-   discontinued again. *)
-let cancel p =
-  let rec go k =
-    match Effect.Deep.discontinue k Coop.Cancelled with
-    | Coop.Paused k -> go k
-    | Coop.Done _ -> ()
-    | exception _ -> ()
-  in
-  go p.k;
-  Obs.Counter.incr cancelled;
-  close_quietly p.conn.fd
+(* Write what the socket takes of the connection's reply; [true] once
+   all of it is written.  Raises [Unix.Unix_error] when the peer has
+   gone. *)
+let rec flush c =
+  let n = String.length c.out in
+  if c.sent >= n then begin
+    c.out <- "";
+    c.sent <- 0;
+    true
+  end
+  else
+    match Unix.write_substring c.fd c.out c.sent (n - c.sent) with
+    | k ->
+      c.sent <- c.sent + k;
+      flush c
+    | exception Unix.Unix_error (e, _, _) when would_block e -> false
 
-(* The poller owns the listening socket and every idle connection and
-   multiplexes them through [select]; a connection with data ready is
-   handed to [dispatch] and returns to the idle set when its frames are
-   served.  So a fixed worker count serves any number of persistent
-   connections: an idle connection occupies no worker, and requests
-   interleaved across connections never head-of-line block behind an
-   open socket.
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-   With [jobs > 1] the pool's workers serve connections from a session
-   (newest first), each job to completion.  With [jobs = 1] the poller
-   runs every job as cooperative slices ([Coop]): a job that pauses
-   joins a FIFO of paused jobs, and each [select] round first
-   dispatches newly arrived frames, then resumes the oldest paused job
+(* One loop serves every connection: it multiplexes the listening
+   socket and the live connections through [select] and never blocks
+   on one client.  A connection's frame is read when [select] reports
+   bytes, a partial frame waits in its reader, and a reply the socket
+   does not take at once waits in the connection's [out] until
+   [select] reports it writable.
+
+   Every job runs as cooperative slices ([Coop]): a job that pauses
+   joins a FIFO of paused jobs, and each round first serves the
+   connections [select] reported, then resumes the oldest paused job
    for one slice ([select] does not wait while any is paused).  A
    [stats:true] request runs alone and unsliced, after every paused
    job has finished, so its counter deltas are its own.  A paused job
@@ -523,60 +491,92 @@ let serve ?ready t cfg =
    with Invalid_argument _ -> ());
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let wake_r, wake_w = Unix.pipe () in
-  let idle = ref [] in
-  let idle_mu = Mutex.create () in
-  (* workers hand finished connections back through the idle set and
-     poke the pipe so the poller re-selects immediately instead of at
-     its next 200ms tick *)
-  let return_live live = function
-    | `Close -> close_quietly live.fd
-    | `Keep ->
-      Mutex.lock idle_mu;
-      idle := live :: !idle;
-      Mutex.unlock idle_mu;
-      (try ignore (Unix.write wake_w (Bytes.of_string "x") 0 1)
-       with Unix.Unix_error _ -> ())
-  in
-  let take_idle snapshot_fd =
-    Mutex.lock idle_mu;
-    let found = List.find_opt (fun l -> l.fd = snapshot_fd) !idle in
-    (match found with
-    | Some l -> idle := List.filter (fun l' -> l' != l) !idle
-    | None -> ());
-    Mutex.unlock idle_mu;
-    found
-  in
+  let conns = ref [] (* newest first *) in
   let paused = Queue.create () in
-  (* settle a job's slice: queue it if it paused; otherwise write its
-     reply and start the connection's next pipelined frame *)
-  let rec settle ~watched live = function
-    | Coop.Paused k -> Queue.push { conn = live; k; watched } paused
-    | Coop.Done resp -> (
-      match reply t live resp with
-      | `More -> start live
-      | (`Keep | `Close) as r -> return_live live r)
-  and start live =
-    match next_frame t live with
-    | None -> close_quietly live.fd
-    | Some line -> (
-      let watched = not (Protocol.buffered_frame live.reader) in
-      match request_of_line line with
-      | exception _ -> close_quietly live.fd
-      | Error resp -> settle ~watched live (Coop.Done resp)
-      | Ok ((_, _, req) as r) ->
-        if field_bool ~default:false req "stats" = Ok true then begin
-          finish_paused ();
-          settle ~watched live (Coop.Done (answer t r))
-        end
-        else settle ~watched live (Coop.slice (fun () -> answer t r)))
+  let drop c =
+    if not c.closed then begin
+      c.closed <- true;
+      close_quietly c.fd;
+      conns := List.filter (fun c' -> c' != c) !conns
+    end
+  in
+  (* Discontinue a paused job: its finalisers release what it holds.
+     A job that swallows [Coop.Cancelled] pauses again, and is
+     discontinued again. *)
+  let cancel p =
+    let rec go k =
+      match Effect.Deep.discontinue k Coop.Cancelled with
+      | Coop.Paused k -> go k
+      | Coop.Done _ -> ()
+      | exception _ -> ()
+    in
+    go p.k;
+    Obs.Counter.incr cancelled;
+    drop p.conn
+  in
+  (* the connection's next frame, once its reply is written: start it,
+     leave a partial one buffered, or close *)
+  let rec next c =
+    if c.closing then drop c
+    else if not (Atomic.get t.stop) then
+      match Protocol.read_frame c.reader with
+      | `Frame line -> start c line
+      | `Partial -> ()
+      | `Eof | (exception Unix.Unix_error _) -> drop c
+      | `Too_large ->
+        (* the frame boundary is lost: answer once, then close rather
+           than try to resynchronise *)
+        c.closing <- true;
+        send c
+          (Protocol.error_response Protocol.Frame_too_large
+             (Printf.sprintf "frame exceeds %d bytes"
+                t.limits.Protocol.max_frame))
+  (* write what the socket takes now; the rest waits for [select] *)
+  and send c resp =
+    c.out <- Json.to_line resp;
+    written c
+  and written c =
+    match flush c with
+    | true -> next c
+    | false -> ()
+    | exception Unix.Unix_error _ -> drop c
+  and start c line =
+    match request_of_line line with
+    | exception _ -> drop c
+    | Error resp -> send c resp
+    | Ok ((_, _, req) as r) ->
+      if field_bool ~default:false req "stats" = Ok true then begin
+        finish_paused ();
+        send c (answer t r)
+      end
+      else settle c (Coop.slice (fun () -> answer t r))
+  and settle c = function
+    | Coop.Paused k ->
+      c.busy <- true;
+      Queue.push
+        { conn = c; k; watched = not (Protocol.buffered_frame c.reader) }
+        paused
+    | Coop.Done resp ->
+      c.busy <- false;
+      send c resp
   and resume_oldest () =
     let p = Queue.pop paused in
-    settle ~watched:p.watched p.conn (Effect.Deep.continue p.k ())
+    settle p.conn (Effect.Deep.continue p.k ())
   and finish_paused () =
     while not (Queue.is_empty paused) do
       resume_oldest ()
     done
+  in
+  let accept () =
+    match Unix.accept sock with
+    | fd, _ ->
+      Unix.set_nonblock fd;
+      let reader = Protocol.reader ~max_frame:t.limits.Protocol.max_frame fd in
+      conns :=
+        { fd; reader; out = ""; sent = 0; busy = false; closing = false;
+          closed = false }
+        :: !conns
+    | exception Unix.Unix_error _ -> ()
   in
   (* cancel the watched paused jobs whose client has gone *)
   let reap_closed readable =
@@ -595,98 +595,40 @@ let serve ?ready t cfg =
     Queue.clear paused;
     Queue.transfer kept paused
   in
-  let session =
-    if cfg.jobs <= 1 then None
-    else begin
-      let pool = Pool.create ~domains:(cfg.jobs + 1) in
-      let s =
-        Pool.session_start pool (fun ~worker:_ ~push:_ live ->
-            return_live live (process_ready t live))
-      in
-      Some (pool, s)
-    end
-  in
-  let dispatch live =
-    match session with
-    | None -> start live
-    | Some (_, s) -> Pool.session_push s live
-  in
   Fun.protect
     ~finally:(fun () ->
-      (match session with
-      | Some (pool, s) ->
-        Pool.session_stop s;
-        Pool.shutdown pool
-      | None -> ());
       Queue.iter cancel paused;
       Queue.clear paused;
-      Mutex.lock idle_mu;
-      List.iter (fun l -> close_quietly l.fd) !idle;
-      idle := [];
-      Mutex.unlock idle_mu;
-      close_quietly wake_r;
-      close_quietly wake_w;
+      List.iter drop !conns;
       close_quietly sock;
       try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ())
   @@ fun () ->
   Unix.bind sock (Unix.ADDR_UNIX cfg.socket_path);
   Unix.listen sock 64;
-  Unix.set_nonblock wake_r;
+  Unix.set_nonblock sock;
   (match ready with Some f -> f () | None -> ());
-  let drain_wake () =
-    let b = Bytes.create 64 in
-    let rec go () =
-      match Unix.read wake_r b 0 64 with
-      | 64 -> go ()
-      | _ -> ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ()
-  in
-  (* the 200ms tick bounds how stale a [shutdown] handled on a worker
-     can leave the poller *)
   while not (Atomic.get t.stop) do
-    Mutex.lock idle_mu;
-    let snapshot = !idle in
-    Mutex.unlock idle_mu;
+    let live = !conns in
+    let reading = List.filter (fun c -> (not c.busy) && c.out = "") live in
+    let writing = List.filter (fun c -> c.out <> "") live in
     let watched_paused =
       Queue.fold
         (fun acc p -> if p.watched then p.conn.fd :: acc else acc)
         [] paused
     in
-    let watched =
-      (sock :: wake_r :: List.map (fun l -> l.fd) snapshot) @ watched_paused
-    in
-    let timeout = if Queue.is_empty paused then 0.2 else 0. in
-    (match Unix.select watched [] [] timeout with
+    let fds = List.map (fun c -> c.fd) in
+    let timeout = if Queue.is_empty paused then -1. else 0. in
+    (match
+       Unix.select
+         ((sock :: fds reading) @ watched_paused)
+         (fds writing) [] timeout
+     with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | readable, _, _ ->
-      if List.mem wake_r readable then drain_wake ();
-      if List.mem sock readable then begin
-        match Unix.accept sock with
-        | fd, _ ->
-          return_live
-            { fd;
-              reader =
-                Protocol.reader ~max_frame:t.limits.Protocol.max_frame fd }
-            `Keep
-        | exception Unix.Unix_error _ -> ()
-      end;
-      List.iter
-        (fun l ->
-          if List.mem l.fd readable then
-            match take_idle l.fd with
-            | None -> ()
-            | Some live -> (
-              (* re-check on the connection actually taken: the fd
-                 number may have been recycled onto a fresh (and not
-                 yet readable) connection since [select] returned *)
-              match Unix.select [ live.fd ] [] [] 0. with
-              | [ _ ], _, _ -> dispatch live
-              | _ -> return_live live `Keep
-              | exception Unix.Unix_error _ -> return_live live `Close))
-        snapshot;
+    | readable, writable, _ ->
+      if List.mem sock readable then accept ();
+      let ready fds c = (not c.closed) && List.mem c.fd fds in
+      List.iter (fun c -> if ready writable c then written c) writing;
+      List.iter (fun c -> if ready readable c then next c) reading;
       if watched_paused <> [] then reap_closed readable);
     if (not (Queue.is_empty paused)) && not (Atomic.get t.stop) then
       resume_oldest ()

@@ -9,27 +9,28 @@
     as newline-delimited JSON ({!Protocol}).  Job outputs are byte
     for byte the one-shot CLI's stdout.
 
-    Concurrency: the accepting domain multiplexes the listening
-    socket and every idle connection through [select] and dispatches
-    a connection only when a request frame is arriving, so idle
-    connections occupy no worker and interleaved clients never
-    head-of-line block behind an open socket.  With [jobs > 1] ready
-    frames are pushed onto a {!Csp_parallel.Pool} session's shared
-    stack and served, newest first, by the pool's worker domains,
-    each job to completion.  Jobs on one source context serialise on
-    that context's lock (the engine caches are single-writer); jobs on
-    different sources run concurrently.
+    Concurrency: one loop on one domain serves every connection.  It
+    multiplexes the listening socket and the connections through
+    [select] and never commits to one client's read or write before
+    that client is ready.  Connections are non-blocking: a frame
+    still arriving waits in its reader ({!Protocol.read_frame}
+    answers [`Partial]), and a reply the socket does not take at once
+    waits in the connection's output buffer until [select] reports
+    the socket writable.  A connection's next frame is not read until
+    its reply is written, so replies leave in request order and at
+    most one waits per connection.  A client that sent half a frame,
+    or does not read its reply, holds up nobody else.
 
-    With [jobs = 1] (the default) the poller runs every job as
-    cooperative slices ({!Csp_parallel.Coop}), so a batch job no longer
-    stalls interactive clients.  A job may pause at every 16th row of
-    a walk (compile, replay, counter quotient) and between fuzz cases,
-    once it has run for the quantum, a constant of 1 ms.  Each [select] round
-    dispatches newly arrived frames first, then resumes the oldest
-    paused job for one slice; [select] does not wait while a job is
-    paused.
+    Every job runs as cooperative slices ({!Csp_parallel.Coop}), so a
+    batch job does not stall interactive clients.  A job may pause at
+    every 16th row of a walk (compile, replay, counter quotient) and
+    between fuzz cases, once it has run for the quantum, a constant of
+    1 ms.  Each [select] round serves the connections it reported
+    first, then resumes the oldest paused job for one slice; [select]
+    does not wait while a job is paused.
     - A job that needs a source context a paused job holds waits for
-      it, pausing on every failed attempt ({!Csp_parallel.Coop.lock}).
+      it, pausing on every failed attempt ({!Csp_parallel.Coop.lock}):
+      the engine caches are single-writer.
     - A ["stats": true] request runs alone and unsliced, after every
       paused job has finished, so its counter deltas are its own.
     - A paused job whose client closed its connection is cancelled
@@ -41,7 +42,8 @@
     Slicing has three visible side effects.  A reply's [elapsed_ms]
     stays the wall time from dispatch to reply, pauses included.  A
     [fuzz] with a [budget] spends part of it on other jobs' slices.
-    Spans recorded by interleaved jobs overlap in time.
+    Spans recorded by interleaved jobs overlap in time; each job's
+    spans keep the depths they have when it runs alone.
 
     Persistence: [save]/[load] requests (and [--warm FILE] at start)
     snapshot and replay the warm state through
@@ -52,15 +54,11 @@
 
 type config = {
   socket_path : string;
-  jobs : int;
-      (** worker domains serving connections (default 1: the poller
-          itself, running jobs as slices) *)
   limits : Protocol.limits;
   warm : string option;  (** snapshot to load before accepting *)
 }
 
 val config :
-  ?jobs:int ->
   ?limits:Protocol.limits ->
   ?warm:string ->
   string ->
@@ -91,7 +89,7 @@ val serve : ?ready:(unit -> unit) -> t -> config -> unit
     [ready] fires once the socket is listening (used by tests and the
     bench to synchronise with a server running in another domain).
     Individual client disconnects — including mid-request — only drop
-    that connection (and, at [jobs = 1], cancel its paused job). *)
+    that connection (and cancel its paused job). *)
 
 val run : ?ready:(unit -> unit) -> config -> (unit, string) result
 (** {!create} followed by {!serve}. *)

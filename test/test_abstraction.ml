@@ -2,9 +2,7 @@
    the Ignore/Project channel abstractions, the counter-abstract
    quotient and whole-family certification — each cross-checked
    against bounded concrete enumeration, the abstract-sound oracle and
-   the cspc CLI.  The CI abstraction leg re-runs this suite with
-   CSP_TEST_DOMAINS=2, which routes the concrete sides through a
-   domain pool. *)
+   the cspc CLI. *)
 
 open Csp
 open Test_support
@@ -24,14 +22,8 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* concrete engines honour the CI parallel leg's domain count *)
-let domains =
-  match Sys.getenv_opt "CSP_TEST_DOMAINS" with
-  | Some s -> ( match int_of_string_opt s with Some d when d >= 1 -> d | _ -> 1)
-  | None -> 1
-
 let depth = 4
-let engine defs = Engine.create ~depth ~domains ~nat_bound:2 defs
+let engine defs = Engine.create ~depth ~nat_bound:2 defs
 
 (* ---- formulae ---------------------------------------------------------- *)
 

@@ -476,41 +476,6 @@ let test_bisim_compiler_same_answer () =
   and routed_s = Bisim.equivalent ~compiler cfg p p in
   Alcotest.(check bool) "equivalent unchanged" plain_s routed_s
 
-(* ---- the building walk on a multi-domain engine ---------------------- *)
-
-let chain_engine domains =
-  let defs, net = Paper.Copier.chain_defs 8 in
-  (Engine.create ~domains ~nat_bound:2 defs, net)
-
-let replay eng c net =
-  Lts.explore ~max_states:200_000 ?pool:(Engine.pool eng) ~compiled:c
-    (Engine.step_config eng) net
-
-(* A 2-domain engine builds the 1-domain engine's tables. *)
-let test_compile_any_domains () =
-  let eng1, net = chain_engine 1 in
-  let c1 = Engine.compile eng1 net in
-  let eng2, _ = chain_engine 2 in
-  let c2 = Engine.compile eng2 net in
-  Alcotest.(check int) "n_states" (Compiled.n_states c1) (Compiled.n_states c2);
-  Alcotest.(check int) "n_rows" (Compiled.n_rows c1) (Compiled.n_rows c2);
-  Alcotest.(check int) "n_transitions" (Compiled.n_transitions c1)
-    (Compiled.n_transitions c2);
-  Alcotest.(check string) "replay DOT"
-    (Lts.to_dot (replay eng1 c1 net))
-    (Lts.to_dot (replay eng2 c2 net))
-
-(* Replaying complete tables derives nothing, so the 2-domain pool
-   must run no session task. *)
-let test_replay_starts_no_speculation () =
-  let eng, net = chain_engine 2 in
-  let c = Engine.compile eng net in
-  let lts, deltas = Obs.delta_snapshot (fun () -> replay eng c net) in
-  Alcotest.(check int) "complete replay" (Compiled.n_states c)
-    (Lts.num_states lts);
-  Alcotest.(check int) "no session traffic" 0
-    (Option.value ~default:0 (List.assoc_opt "pool.session_tasks" deltas))
-
 (* ---- state vectors: directed cases ------------------------------------ *)
 
 (* The compiled exploration of [p] equals the interpreted one, and so
@@ -633,6 +598,27 @@ let test_workers_12 () =
   Alcotest.(check int) "12 leaves" 12 (Compiled.leaves c);
   Alcotest.(check int) "2^12 states" 4096 (Compiled.n_states c)
 
+(* The multiplier's network as examples/multiplier.csp writes it:
+   [network = pipeline [..] last], where [pipeline] names the stages'
+   own network, so one leaf is itself a network. *)
+let test_multiplier_network_leaf () =
+  let m = Paper.Multiplier.default in
+  match m.Paper.Multiplier.network with
+  | Process.Par (a, b, pipeline, last) ->
+    let defs =
+      m.Paper.Multiplier.defs
+      |> Defs.define "pipeline" pipeline
+      |> Defs.define "network" (Process.Par (a, b, Process.ref_ "pipeline", last))
+    in
+    let c, com =
+      check_vectors ~max_states:10_000 "multiplier" defs
+        (Process.ref_ "network")
+    in
+    Alcotest.(check int) "pipeline and last" 2 (Compiled.leaves c);
+    Alcotest.(check bool) "complete" true com.Lts.complete;
+    Alcotest.(check int) "3081 states" 3081 (Lts.num_states com)
+  | _ -> Alcotest.fail "the multiplier's network is not a parallel"
+
 (* A walk cut at [max_states], and rows left to the replay by a
    one-state budget. *)
 let test_vector_truncation_and_fallback () =
@@ -713,13 +699,6 @@ let () =
           Alcotest.test_case "bisim compiler" `Quick
             test_bisim_compiler_same_answer;
         ] );
-      ( "frontier",
-        [
-          Alcotest.test_case "2-domain compile, same tables" `Quick
-            test_compile_any_domains;
-          Alcotest.test_case "complete replay starts no speculation" `Quick
-            test_replay_starts_no_speculation;
-        ] );
       ( "vectors",
         [
           Alcotest.test_case "duplicate moves under par" `Quick
@@ -732,6 +711,8 @@ let () =
             test_chain_roots;
           Alcotest.test_case "workers-12 past the tenth leaf" `Quick
             test_workers_12;
+          Alcotest.test_case "a leaf that is a network" `Quick
+            test_multiplier_network_leaf;
           Alcotest.test_case "truncation and fallback rows" `Quick
             test_vector_truncation_and_fallback;
           Alcotest.test_case "root reference fuel" `Quick test_root_fuel;

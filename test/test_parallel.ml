@@ -58,34 +58,6 @@ let test_pool_stats () =
   Alcotest.(check bool) "tasks ran" true Pool.(s1.tasks - s0.tasks >= 20);
   Alcotest.(check bool) "a batch ran" true Pool.(s1.batches > s0.batches)
 
-(* ---- sessions -------------------------------------------------------- *)
-
-(* Three drivers on one shared stack, with the caller pushing from a
-   fourth domain: every caller item makes its driver push one
-   follow-up, and every one of the 20 000 items runs exactly once. *)
-let test_session_conservation_4_domains () =
-  let n = 10_000 in
-  let runs = Array.init (2 * n) (fun _ -> Atomic.make 0) in
-  let done_ = Atomic.make 0 in
-  Pool.with_pool ~domains:4 (fun pool ->
-      let s =
-        Pool.session_start pool (fun ~worker:_ ~push i ->
-            Atomic.incr runs.(i);
-            if i < n then push (n + i);
-            Atomic.incr done_)
-      in
-      for i = 0 to n - 1 do
-        Pool.session_push s i
-      done;
-      while Atomic.get done_ < 2 * n do
-        Domain.cpu_relax ()
-      done;
-      Pool.session_stop s);
-  Alcotest.(check (list int))
-    "every item ran exactly once"
-    (List.init (2 * n) (fun _ -> 1))
-    (Array.to_list (Array.map Atomic.get runs))
-
 (* ---- parallel exploration ≡ sequential exploration ------------------- *)
 
 let lts_equal_seq (seq : Lts.t) (par : Lts.t) =
@@ -389,11 +361,6 @@ let () =
           Alcotest.test_case "slices pause at yields" `Quick test_coop_slices;
           Alcotest.test_case "lock waits and cancellation" `Quick
             test_coop_lock;
-        ] );
-      ( "session",
-        [
-          Alcotest.test_case "conservation under 4 domains" `Quick
-            test_session_conservation_4_domains;
         ] );
       ( "explore",
         [

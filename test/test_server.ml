@@ -6,6 +6,7 @@ module Server = Csp_server.Server
 module Protocol = Csp_server.Protocol
 module Json = Csp_persist.Json
 module Obs = Csp_obs.Obs
+module Coop = Csp_parallel.Coop
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -36,6 +37,8 @@ let error_kind resp =
   match (Json.mem_bool "ok" resp, Json.mem_str "kind" resp) with
   | Some false, Some k -> k
   | _ -> Alcotest.failf "expected an error response: %s" (Json.to_string resp)
+
+let counter name = Obs.Counter.get (Obs.Counter.make name)
 
 (* ---- the real binary --------------------------------------------------- *)
 
@@ -87,10 +90,6 @@ let diff_cases =
       ring_source,
       req "graph" [ ("process", Json.str "main") ],
       fun p -> [ "graph"; p; "-p"; "main" ] );
-    ( "graph ring -j 2",
-      ring_source,
-      req "graph" [ ("process", Json.str "main") ],
-      fun p -> [ "graph"; p; "-p"; "main"; "-j"; "2" ] );
     ( "graph window tight budget",
       window_source,
       req "graph" [ ("process", Json.str "main"); ("max_states", Json.int 5) ],
@@ -109,13 +108,6 @@ let diff_cases =
         [ ("impl", Json.str "impl"); ("spec", Json.str "impl");
           ("weak", Json.Bool true) ],
       fun p -> [ "refine"; p; "-p"; "impl"; "-s"; "impl"; "--weak" ] );
-    ( "refine weak -j 2",
-      refine_ok_source,
-      req "refine"
-        [ ("impl", Json.str "impl"); ("spec", Json.str "spec");
-          ("weak", Json.Bool true) ],
-      fun p ->
-        [ "refine"; p; "-p"; "impl"; "-s"; "spec"; "--weak"; "-j"; "2" ] );
     ("prove protocol", protocol_source, req "prove" [], fun p -> [ "prove"; p ]);
     ("prove copier", copier_source, req "prove" [], fun p -> [ "prove"; p ]);
   ]
@@ -267,7 +259,8 @@ let test_oversized_frame_rejected () =
     (fun reader _ ->
       match Protocol.read_frame reader with
       | `Too_large -> ()
-      | `Frame _ | `Eof -> Alcotest.fail "oversized frame not rejected")
+      | `Frame _ | `Partial | `Eof ->
+        Alcotest.fail "oversized frame not rejected")
 
 let test_frame_carry () =
   with_pipe_reader ~max_frame:1024 "one\ntwo\nthr" (fun reader w ->
@@ -288,15 +281,15 @@ let test_partial_frame_is_eof () =
       (* a client that died mid-request: the fragment is discarded *)
       match Protocol.read_frame reader with
       | `Eof -> ()
-      | `Frame _ | `Too_large ->
+      | `Frame _ | `Partial | `Too_large ->
         Alcotest.fail "partial frame at EOF must read as EOF")
 
 (* ---- a live socket server ---------------------------------------------- *)
 
-let with_server ?jobs ?limits ?warm f =
+let with_server ?limits ?warm f =
   let socket = Filename.temp_file "cspc-serve" ".sock" in
   Sys.remove socket;
-  let cfg = Server.config ?jobs ?limits ?warm socket in
+  let cfg = Server.config ?limits ?warm socket in
   let t =
     match Server.create cfg with Ok t -> t | Error m -> Alcotest.fail m
   in
@@ -366,21 +359,22 @@ let test_client_disconnect_mid_request () =
   check_bool "server alive" true
     (Json.mem_bool "ok" resp = Some true)
 
-(* A client that submits an expensive job and vanishes before the
-   answer is ready: the worker's eventual write hits a dead socket
-   (EPIPE/ECONNRESET), which must be absorbed as a normal disconnect
-   — not kill the worker or wedge the accept loop. *)
+(* Clients that submit an expensive job and vanish before the answer
+   is ready: each graph is cancelled while paused holding its source
+   context's lock (the later ones while waiting for it), and the
+   cancellation must release the lock — not wedge the source or the
+   accept loop. *)
 let test_disconnect_during_slow_job () =
-  with_server ~jobs:2 @@ fun socket ->
+  let cancelled0 = counter "serve.cancelled" in
+  with_server @@ fun socket ->
   let line = Json.to_string slow_graph ^ "\n" in
-  (* several in a row so at least one close lands mid-computation *)
   for _ = 1 to 3 do
     let fd = raw_connect socket in
     ignore (Unix.write_substring fd line 0 (String.length line));
     Unix.close fd
   done;
-  (* the pool must still answer fresh connections, including the very
-     request the dead clients abandoned *)
+  (* the server must still answer fresh connections, including the
+     very request the dead clients abandoned *)
   let conn =
     match Protocol.connect socket with
     | Ok c -> c
@@ -390,7 +384,9 @@ let test_disconnect_during_slow_job () =
   check_bool "server alive" true
     (Json.mem_bool "ok" (request_exn conn (req "ping" [])) = Some true);
   let _, code = outcome (request_exn conn slow_graph) in
-  check_int "abandoned request still answerable" 0 code
+  check_int "abandoned request still answerable" 0 code;
+  check_bool "an abandoned graph was cancelled" true
+    (counter "serve.cancelled" > cancelled0)
 
 (* The source-context table is bounded: inserting more distinct
    sources than [max_sources] evicts the least recently used one.
@@ -483,10 +479,10 @@ let test_socket_oversized_and_malformed () =
   check_bool "server alive" true
     (Json.mem_bool "ok" (request_exn conn (req "ping" [])) = Some true)
 
-(* With --jobs > 1 connections are dispatched onto the pool's
-   session; answers must be exactly the sequential ones. *)
+(* Three connections on one server: answers must be exactly the
+   sequential ones. *)
 let test_concurrent_jobs () =
-  with_server ~jobs:2 @@ fun socket ->
+  with_server @@ fun socket ->
   let conns =
     List.init 3 (fun _ ->
         match Protocol.connect socket with
@@ -511,11 +507,10 @@ let test_concurrent_jobs () =
         && String.sub out 0 1 = "1" (* one state, self loop *)))
     conns
 
-(* Jobs dispatched onto the pool's session share the closure
-   memo tables: a repeated fuzz request must hit what the first one
-   memoised, exactly as with --jobs 1. *)
+(* Jobs share the closure memo tables: a repeated fuzz request must
+   hit what the first one memoised. *)
 let test_concurrent_jobs_share_memos () =
-  with_server ~jobs:2 @@ fun socket ->
+  with_server @@ fun socket ->
   let conn =
     match Protocol.connect socket with
     | Ok c -> c
@@ -534,7 +529,7 @@ let test_concurrent_jobs_share_memos () =
   in
   check_bool "second request hits the closure memos" true (memo_hits > 0)
 
-(* ---- cooperative slices at --jobs 1 ------------------------------------ *)
+(* ---- cooperative slices ----------------------------------------------- *)
 
 let send fd j =
   let line = Json.to_string j ^ "\n" in
@@ -562,7 +557,8 @@ let replies_in_order conns =
               match Json.parse f with
               | Ok j -> order := (label, j) :: !order
               | Error m -> Alcotest.failf "%s: bad reply: %s" label m)
-            | `Eof | `Too_large -> Alcotest.failf "%s: no reply" label);
+            | `Partial | `Eof | `Too_large ->
+              Alcotest.failf "%s: no reply" label);
             pending := List.filter (fun (_, fd', _) -> fd' <> fd) !pending
           end)
         !pending
@@ -577,8 +573,6 @@ let with_two_clients socket f =
   let a = raw_connect socket in
   let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
   Fun.protect ~finally:(fun () -> close a; close b) @@ fun () -> f a b
-
-let counter name = Obs.Counter.get (Obs.Counter.make name)
 
 let fuzz_req ?(stats = false) count =
   req "fuzz"
@@ -687,6 +681,93 @@ let test_slice_shutdown_cancels () =
   match Protocol.read_frame (Protocol.reader a) with
   | `Eof -> ()
   | _ -> Alcotest.fail "the paused job answered after shutdown"
+
+(* ---- one client never blocks the loop --------------------------------- *)
+
+(* The next reply on [fd], or a failure once [seconds] pass without
+   one starting: [select] bounds the wait, so a stalled server fails
+   the test instead of hanging it. *)
+let reply_within label seconds fd reader =
+  match Unix.select [ fd ] [] [] seconds with
+  | [], _, _ -> Alcotest.failf "%s: no reply within %.0f s" label seconds
+  | _ -> (
+    match Protocol.read_frame reader with
+    | `Frame f -> (
+      match Json.parse f with
+      | Ok j -> j
+      | Error m -> Alcotest.failf "%s: bad reply: %s" label m)
+    | `Partial | `Eof | `Too_large -> Alcotest.failf "%s: no reply" label)
+
+let pong label j =
+  check_bool (label ^ " answered") true (Json.mem_bool "pong" j = Some true)
+
+(* A client that sent half a frame and stays connected holds up
+   nobody: another client's ping is answered at once, and the first
+   client's own ping once its frame ends. *)
+let test_half_frame_blocks_nobody () =
+  with_server @@ fun socket ->
+  with_two_clients socket @@ fun a b ->
+  let write fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  write a "{\"op\":\"ping\"";
+  Unix.sleepf 0.05;
+  send b (req "ping" []);
+  pong "b's ping" (reply_within "b's ping" 5. b (Protocol.reader b));
+  write a "}\n";
+  pong "a's ping" (reply_within "a's ping" 5. a (Protocol.reader a))
+
+(* A reply larger than the socket buffer, left unread, holds up
+   nobody: the fuzz that finishes after it is answered first, and the
+   graph reply then arrives whole, with an idle server's bytes. *)
+let test_unread_reply_blocks_nobody () =
+  let idle = outcome (response (fresh_server ()) slow_graph) in
+  with_server @@ fun socket ->
+  with_two_clients socket @@ fun a b ->
+  send a (fuzz_req 30);
+  send b slow_graph;
+  let f = reply_within "fuzz" 20. a (Protocol.reader a) in
+  check_bool "fuzz ok" true (Json.mem_bool "ok" f = Some true);
+  let g =
+    reply_within "graph" 60. b
+      (Protocol.reader ~max_frame:(64 * 1024 * 1024) b)
+  in
+  check_bool "graph bytes are an idle server's" true (outcome g = idle)
+
+(* Spans keep their depths under slicing: a graph that runs while a
+   fuzz is paused inside a span records its spans at the depths of a
+   solo run. *)
+let test_slice_span_depths () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let rec finish = function
+    | Coop.Done _ -> ()
+    | Coop.Paused k -> finish (Effect.Deep.continue k ())
+  in
+  let line j = Json.to_string j in
+  let graph_spans t =
+    Obs.clear_events ();
+    finish (Coop.slice (fun () -> Server.handle_line t (line slow_graph)));
+    List.filter_map
+      (fun (e : Obs.event) ->
+        if List.mem e.Obs.name [ "compile"; "explore-compiled"; "to_dot" ]
+        then Some (e.Obs.name, e.Obs.depth)
+        else None)
+      (Obs.events ())
+  in
+  let solo = graph_spans (fresh_server ()) in
+  check_int "three graph spans" 3 (List.length solo);
+  let t = fresh_server () in
+  match
+    Coop.slice (fun () ->
+        Obs.span "batch" (fun () -> Server.handle_line t (line (fuzz_req 60))))
+  with
+  | Coop.Done _ -> Alcotest.fail "the fuzz did not pause"
+  | Coop.Paused k ->
+    let interleaved = graph_spans t in
+    finish (Effect.Deep.continue k ());
+    Alcotest.(check (list (pair string int)))
+      "span depths of a solo run" solo interleaved;
+    check_int "the caller's depth after both jobs" 0 (Obs.span_depth ())
 
 (* ---- persistence through the server ------------------------------------ *)
 
@@ -802,6 +883,15 @@ let () =
             test_slice_cancel_on_disconnect;
           Alcotest.test_case "shutdown cancels paused jobs" `Quick
             test_slice_shutdown_cancels;
+          Alcotest.test_case "span depths of a solo run" `Quick
+            test_slice_span_depths;
+        ] );
+      ( "stalls",
+        [
+          Alcotest.test_case "half a frame blocks nobody" `Quick
+            test_half_frame_blocks_nobody;
+          Alcotest.test_case "an unread reply blocks nobody" `Quick
+            test_unread_reply_blocks_nobody;
         ] );
       ( "persistence",
         [
