@@ -688,15 +688,17 @@ let test_slice_shutdown_cancels () =
    one starting: [select] bounds the wait, so a stalled server fails
    the test instead of hanging it. *)
 let reply_within label seconds fd reader =
-  match Unix.select [ fd ] [] [] seconds with
-  | [], _, _ -> Alcotest.failf "%s: no reply within %.0f s" label seconds
-  | _ -> (
-    match Protocol.read_frame reader with
-    | `Frame f -> (
-      match Json.parse f with
-      | Ok j -> j
-      | Error m -> Alcotest.failf "%s: bad reply: %s" label m)
-    | `Partial | `Eof | `Too_large -> Alcotest.failf "%s: no reply" label)
+  if not (Protocol.buffered_frame reader) then begin
+    match Unix.select [ fd ] [] [] seconds with
+    | [], _, _ -> Alcotest.failf "%s: no reply within %.0f s" label seconds
+    | _ -> ()
+  end;
+  match Protocol.read_frame reader with
+  | `Frame f -> (
+    match Json.parse f with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "%s: bad reply: %s" label m)
+  | `Partial | `Eof | `Too_large -> Alcotest.failf "%s: no reply" label
 
 let pong label j =
   check_bool (label ^ " answered") true (Json.mem_bool "pong" j = Some true)
@@ -731,6 +733,21 @@ let test_unread_reply_blocks_nobody () =
       (Protocol.reader ~max_frame:(64 * 1024 * 1024) b)
   in
   check_bool "graph bytes are an idle server's" true (outcome g = idle)
+
+(* A frame pipelined behind a reply the socket has not taken yet
+   waits for it: replies leave in request order. *)
+let test_pipelined_behind_pending_reply () =
+  with_server @@ fun socket ->
+  let fd = raw_connect socket in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd slow_graph;
+  send fd (req "ping" []);
+  (* let the graph reply fill the socket before reading *)
+  Unix.sleepf 0.3;
+  let reader = Protocol.reader ~max_frame:(64 * 1024 * 1024) fd in
+  let g = reply_within "graph" 60. fd reader in
+  check_bool "the graph first" true (Json.mem_str "op" g = Some "graph");
+  pong "the pipelined ping" (reply_within "ping" 5. fd reader)
 
 (* Spans keep their depths under slicing: a graph that runs while a
    fuzz is paused inside a span records its spans at the depths of a
@@ -892,6 +909,8 @@ let () =
             test_half_frame_blocks_nobody;
           Alcotest.test_case "an unread reply blocks nobody" `Quick
             test_unread_reply_blocks_nobody;
+          Alcotest.test_case "pipelined frames wait for a pending reply"
+            `Quick test_pipelined_behind_pending_reply;
         ] );
       ( "persistence",
         [
