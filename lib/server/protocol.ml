@@ -30,60 +30,72 @@ let default_limits =
 
 (* ---- framing ---------------------------------------------------------- *)
 
-(* The buffer holds at most [max_frame + 1] bytes: we stop reading as
-   soon as a newline is present, and declare the frame oversized the
-   moment the buffered prefix exceeds the cap without one — bounded
-   memory per connection by construction. *)
+(* [buf] holds the start of a frame still arriving.  Reading stops at
+   the first newline, and a frame whose buffered start exceeds the cap
+   without one is declared oversized, so a connection buffers at most
+   [max_frame] bytes plus one chunk.  [carry] holds what the read that
+   ended the last frame brought in after its newline, from
+   [carry_off] on.  Each byte is copied into [buf] once and out once,
+   so a frame that arrives in many pieces costs time linear in its
+   size. *)
 type reader = {
   fd : Unix.file_descr;
   buf : Buffer.t;
   chunk : bytes;
   max_frame : int;
-  mutable carry : string;  (** bytes after the last returned frame *)
+  mutable carry : string;
+  mutable carry_off : int;
 }
 
 let reader ?(max_frame = default_limits.max_frame) fd =
   { fd; buf = Buffer.create 1024; chunk = Bytes.create 65536; max_frame;
-    carry = "" }
+    carry = ""; carry_off = 0 }
+
+let rec newline_in chunk i n =
+  if i >= n then None
+  else if Bytes.get chunk i = '\n' then Some i
+  else newline_in chunk (i + 1) n
 
 let read_frame r =
-  Buffer.clear r.buf;
-  Buffer.add_string r.buf r.carry;
-  r.carry <- "";
-  let split_at_newline () =
-    let s = Buffer.contents r.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i ->
-      r.carry <- String.sub s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
-  in
-  let rec go () =
-    match split_at_newline () with
-    | Some frame -> `Frame frame
-    | None ->
+  match String.index_from_opt r.carry r.carry_off '\n' with
+  | Some i ->
+    let frame = String.sub r.carry r.carry_off (i - r.carry_off) in
+    r.carry_off <- i + 1;
+    `Frame frame
+  | None ->
+    Buffer.add_substring r.buf r.carry r.carry_off
+      (String.length r.carry - r.carry_off);
+    r.carry <- "";
+    r.carry_off <- 0;
+    let rec go () =
       if Buffer.length r.buf > r.max_frame then `Too_large
-      else begin
+      else
         match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
         (* EOF with a partial (unterminated) frame buffered is a client
            that died mid-request: discard the fragment, it was never a
            complete request *)
         | 0 -> `Eof
-        | n ->
-          Buffer.add_subbytes r.buf r.chunk 0 n;
-          go ()
+        | n -> (
+          match newline_in r.chunk 0 n with
+          | None ->
+            Buffer.add_subbytes r.buf r.chunk 0 n;
+            go ()
+          | Some j ->
+            Buffer.add_subbytes r.buf r.chunk 0 j;
+            let frame = Buffer.contents r.buf in
+            Buffer.clear r.buf;
+            r.carry <- Bytes.sub_string r.chunk (j + 1) (n - j - 1);
+            `Frame frame)
+        (* a non-blocking socket holds no more for now: what arrived
+           stays in [buf] for the next call *)
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          (* a non-blocking socket holds no more for now: keep what
-             arrived for the next call *)
-          r.carry <- Buffer.contents r.buf;
           `Partial
         | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
           `Eof
-      end
-  in
-  go ()
+    in
+    go ()
 
-let buffered_frame r = String.contains r.carry '\n'
+let buffered_frame r = String.index_from_opt r.carry r.carry_off '\n' <> None
 
 (* The newline is printed into the JSON buffer, so the frame costs
    one copy (the buffer's contents) and, unless the socket takes it

@@ -284,6 +284,38 @@ let test_partial_frame_is_eof () =
       | `Frame _ | `Partial | `Too_large ->
         Alcotest.fail "partial frame at EOF must read as EOF")
 
+(* On a non-blocking descriptor a frame may arrive in pieces: a read
+   that ends mid-frame answers [`Partial] and keeps the bytes, also
+   behind a frame the same read completed. *)
+let test_partial_frames_kept () =
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ r; w ])
+  @@ fun () ->
+  Unix.set_nonblock r;
+  let reader = Protocol.reader ~max_frame:1024 r in
+  let write s = ignore (Unix.write_substring w s 0 (String.length s)) in
+  let expect what =
+    match (Protocol.read_frame reader, what) with
+    | `Partial, None -> ()
+    | `Frame f, Some frame -> check_string "frame" frame f
+    | _ -> Alcotest.fail "unexpected read_frame result"
+  in
+  expect None;
+  List.iter
+    (fun piece ->
+      write piece;
+      expect None)
+    [ "{\"op\""; ":\"pi"; "ng\"" ];
+  write "}\n{\"op\"";
+  expect (Some "{\"op\":\"ping\"}");
+  expect None;
+  write ":1}\n";
+  expect (Some "{\"op\":1}")
+
 (* ---- a live socket server ---------------------------------------------- *)
 
 let with_server ?limits ?warm f =
@@ -874,6 +906,8 @@ let () =
           Alcotest.test_case "carry across frames" `Quick test_frame_carry;
           Alcotest.test_case "partial frame is EOF" `Quick
             test_partial_frame_is_eof;
+          Alcotest.test_case "partial frames kept" `Quick
+            test_partial_frames_kept;
         ] );
       ( "resilience",
         [
