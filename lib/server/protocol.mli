@@ -47,9 +47,11 @@ val read_frame :
   reader -> [ `Frame of string | `Partial | `Eof | `Too_large ]
 (** Next newline-terminated frame, without the newline.  On a
     non-blocking socket that holds no complete frame yet, [`Partial]:
-    the bytes read so far stay buffered for the next call.  Buffered
-    bytes never exceed [max_frame]; on [`Too_large] the connection
-    must be dropped (the frame boundary is lost). *)
+    the bytes read so far stay buffered for the next call, and a frame
+    costs time linear in its size however many pieces it arrives in.
+    Buffered bytes never exceed [max_frame] plus one 64 KiB read; on
+    [`Too_large] the connection must be dropped (the frame boundary
+    is lost). *)
 
 val buffered_frame : reader -> bool
 (** Whether a complete frame is already buffered, so the next
