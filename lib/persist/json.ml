@@ -73,17 +73,30 @@ let hex4 c =
   c.i <- c.i + 4;
   !v
 
+(* Runs of bytes that need no decoding are copied whole, and a string
+   with no escape at all is one [String.sub]; only escapes and their
+   neighbours cost a decision per byte. *)
 let parse_string c =
   expect c '"';
+  let s = c.s and n = String.length c.s in
   let buf = Buffer.create 16 in
-  let rec go () =
-    if c.i >= String.length c.s then fail c.i "unterminated string";
-    match c.s.[c.i] with
-    | '"' -> c.i <- c.i + 1
-    | '\\' ->
+  (* bytes [run, c.i) need no decoding and are not yet in [buf] *)
+  let rec go run =
+    if c.i >= n then fail c.i "unterminated string";
+    match String.unsafe_get s c.i with
+    | '"' ->
+      let len = c.i - run in
       c.i <- c.i + 1;
-      (if c.i >= String.length c.s then fail c.i "unterminated escape";
-       let ch = c.s.[c.i] in
+      if Buffer.length buf = 0 then String.sub s run len
+      else begin
+        Buffer.add_substring buf s run len;
+        Buffer.contents buf
+      end
+    | '\\' ->
+      Buffer.add_substring buf s run (c.i - run);
+      c.i <- c.i + 1;
+      (if c.i >= n then fail c.i "unterminated escape";
+       let ch = s.[c.i] in
        c.i <- c.i + 1;
        match ch with
        | '"' -> Buffer.add_char buf '"'
@@ -99,11 +112,7 @@ let parse_string c =
          let cp =
            (* high surrogate: require and fold the low half *)
            if cp >= 0xd800 && cp <= 0xdbff then begin
-             if
-               c.i + 1 < String.length c.s
-               && c.s.[c.i] = '\\'
-               && c.s.[c.i + 1] = 'u'
-             then begin
+             if c.i + 1 < n && s.[c.i] = '\\' && s.[c.i + 1] = 'u' then begin
                c.i <- c.i + 2;
                let lo = hex4 c in
                if lo < 0xdc00 || lo > 0xdfff then
@@ -118,15 +127,13 @@ let parse_string c =
          in
          add_utf8 buf cp
        | _ -> fail (c.i - 1) "invalid escape '\\%c'" ch);
-      go ()
+      go c.i
     | ch when Char.code ch < 0x20 -> fail c.i "unescaped control character"
-    | ch ->
-      Buffer.add_char buf ch;
+    | _ ->
       c.i <- c.i + 1;
-      go ()
+      go run
   in
-  go ();
-  Buffer.contents buf
+  go c.i
 
 let parse_number c =
   let start = c.i in
@@ -229,7 +236,7 @@ let parse s =
 
 (* Runs of bytes that need no escape are copied whole; only ['"'],
    ['\\'] and control bytes are rewritten. *)
-let escape buf s =
+let add_escaped buf s =
   let n = String.length s in
   let run = ref 0 in
   for i = 0 to n - 1 do
@@ -248,41 +255,48 @@ let escape buf s =
   done;
   Buffer.add_substring buf s !run (n - !run)
 
+(* every escape lengthens the text, so an escaped copy as long as [s]
+   rewrote nothing *)
+let escape s =
+  let buf = Buffer.create (String.length s + 16) in
+  add_escaped buf s;
+  if Buffer.length buf = String.length s then s else Buffer.contents buf
+
+let rec to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Num f ->
+    if not (Float.is_finite f) then Buffer.add_string buf "null"
+    else if Float.is_integer f && Float.abs f < 1e15 then
+      Buffer.add_string buf (Printf.sprintf "%.0f" f)
+    else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+  | Str s ->
+    Buffer.add_char buf '"';
+    add_escaped buf s;
+    Buffer.add_char buf '"'
+  | Arr items ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        to_buffer buf x)
+      items;
+    Buffer.add_char buf ']'
+  | Obj fields ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, x) ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_char buf '"';
+        add_escaped buf k;
+        Buffer.add_string buf "\":";
+        to_buffer buf x)
+      fields;
+    Buffer.add_char buf '}'
+
 let print ~newline v =
   let buf = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Num f ->
-      if not (Float.is_finite f) then Buffer.add_string buf "null"
-      else if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.12g" f)
-    | Str s ->
-      Buffer.add_char buf '"';
-      escape buf s;
-      Buffer.add_char buf '"'
-    | Arr items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          go x)
-        items;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape buf k;
-          Buffer.add_string buf "\":";
-          go x)
-        fields;
-      Buffer.add_char buf '}'
-  in
-  go v;
+  to_buffer buf v;
   if newline then Buffer.add_char buf '\n';
   Buffer.contents buf
 

@@ -20,7 +20,9 @@ val parse : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed; trailing
     garbage is an error).  Numbers are read as floats; strings decode
     the standard escapes including [\uXXXX] (surrogate pairs
-    included) to UTF-8. *)
+    included) to UTF-8.  A string's runs of unescaped bytes are copied
+    whole, so a large [output] or [source] string costs one copy, not
+    one buffer append per byte. *)
 
 val to_string : t -> string
 (** Compact single-line rendering.  Integral numbers print without a
@@ -30,6 +32,16 @@ val to_line : t -> string
 (** [to_string v] followed by its newline, built in the same buffer:
     one frame of the newline-delimited protocol, with no copy made to
     append the terminator. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Appends [to_string v]'s bytes; {!to_string} and {!to_line} print
+    through it. *)
+
+val escape : string -> string
+(** The bytes [s] has between a printed string's quotes: ['"'], ['\\']
+    and control bytes escaped, every other byte as it is, so
+    [escape (a ^ b) = escape a ^ escape b].  [s] itself when no byte
+    needs an escape.  This is the JSON sink of [Dot.write]. *)
 
 val int : int -> t
 val str : string -> t

@@ -52,11 +52,6 @@ let rec add_nat buf n =
   if n >= 10 then add_nat buf (n / 10);
   Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
 
-let add_node buf i attrs =
-  Buffer.add_string buf "  n";
-  add_nat buf i;
-  Buffer.add_string buf attrs
-
 (* The edges bucketed by source (a counting sort: source [s] owns
    [keys.(row.(s))] .. [keys.(row.(s + 1) - 1)]), each encoded as the
    int [(target * n_events + rank) * 2 + visible] and every row
@@ -157,7 +152,10 @@ let of_transitions ~initial ~n_states ~complete ~truncated ~n_edges:m iter =
     visible;
   }
 
-let render ?(name = "lts") ?(header = "") ?status g =
+(* Every byte goes through [escape], which acts on each byte alone:
+   the literal pieces are escaped once per call and each label once
+   per rank, and the digits of node numbers are never rewritten. *)
+let write ~escape ?(name = "lts") ?(header = "") ?status buf g =
   Obs.span ~cat:"export" "to_dot"
     ~args:(fun () -> [ ("states", Obs.Int g.n_states) ])
   @@ fun () ->
@@ -172,32 +170,35 @@ let render ?(name = "lts") ?(header = "") ?status g =
   let status =
     match status with Some f -> f (facts_of g row keys) | None -> ""
   in
-  (* sized for typical node and edge lines, so large graphs render
-     without the buffer's doubling copies *)
-  let buf =
-    Buffer.create
-      (String.length header + String.length status + (48 * g.n_edges)
-     + (32 * n) + 64)
+  let node = escape "  n" in
+  let add_node buf i attrs =
+    Buffer.add_string buf node;
+    add_nat buf i;
+    Buffer.add_string buf attrs
   in
-  Buffer.add_string buf header;
-  Buffer.add_string buf status;
-  Buffer.add_string buf "digraph ";
-  Buffer.add_string buf (dot_id name);
-  Buffer.add_string buf " {\n  rankdir=LR;\n";
-  add_node buf g.initial " [style=bold];\n";
+  Buffer.add_string buf (escape header);
+  Buffer.add_string buf (escape status);
+  Buffer.add_string buf
+    (escape ("digraph " ^ dot_id name ^ " {\n  rankdir=LR;\n"));
+  add_node buf g.initial (escape " [style=bold];\n");
   let dead s = row.(s) = row.(s + 1) && not g.truncated.(s) in
+  let doubled = escape " [shape=doublecircle];\n" in
   for s = 0 to n - 1 do
-    if dead s then add_node buf s " [shape=doublecircle];\n"
+    if dead s then add_node buf s doubled
   done;
   (* truncated states are drawn dashed: their outgoing edges were cut
      at the state bound, so the picture under-reports their moves *)
+  let dashed = escape " [shape=circle, style=dashed];\n" in
   for s = 0 to n - 1 do
-    if g.truncated.(s) then add_node buf s " [shape=circle, style=dashed];\n"
+    if g.truncated.(s) then add_node buf s dashed
   done;
+  let circle = escape " [shape=circle];\n" in
   for s = 0 to n - 1 do
     if (not (dead s)) && (not g.truncated.(s)) && s <> g.initial then
-      add_node buf s " [shape=circle];\n"
+      add_node buf s circle
   done;
+  let arrow = escape " -> n" and label = escape " [label=\"" in
+  let visible = escape "\"];\n" and hidden = escape "\", style=dashed];\n" in
   (* each label escaped on first use, by rank *)
   let labels = Array.make ne "" in
   for s = 0 to n - 1 do
@@ -205,14 +206,22 @@ let render ?(name = "lts") ?(header = "") ?status g =
       let key = keys.(p) in
       let r = (key lsr 1) mod ne in
       if String.length labels.(r) = 0 then
-        labels.(r) <- dot_escape (Event.to_string g.events.(ids.(r)));
-      add_node buf s " -> n";
+        labels.(r) <- escape (dot_escape (Event.to_string g.events.(ids.(r))));
+      add_node buf s arrow;
       add_nat buf ((key lsr 1) / ne);
-      Buffer.add_string buf " [label=\"";
+      Buffer.add_string buf label;
       Buffer.add_string buf labels.(r);
-      Buffer.add_string buf
-        (if key land 1 = 1 then "\"];\n" else "\", style=dashed];\n")
+      Buffer.add_string buf (if key land 1 = 1 then visible else hidden)
     done
   done;
-  Buffer.add_string buf "}\n";
+  Buffer.add_string buf (escape "}\n")
+
+let render ?name ?(header = "") ?status g =
+  (* sized for the header and typical node and edge lines, so large
+     graphs render without the buffer's doubling copies *)
+  let buf =
+    Buffer.create
+      (String.length header + (48 * g.n_edges) + (32 * g.n_states) + 128)
+  in
+  write ~escape:Fun.id ?name ~header ?status buf g;
   Buffer.contents buf

@@ -95,20 +95,30 @@ let status_line (f : Dot.facts) =
          f.Dot.truncated_states)
     f.Dot.deterministic f.Dot.deadlocks
 
-(* The compiled path writes the reply straight from the walk's flat
-   edges; the interpreted reference takes its facts from the [Lts.t]
-   it explored. *)
-let graph ctx ~process ~max_states ~nat_bound ~compiled =
+(* The compiled path replays the engine's cached automaton and writes
+   the reply straight from the walk's flat edges; the interpreted
+   reference takes its facts from the [Lts.t] it explored. *)
+let compiled_graph ctx ~process ~max_states ~nat_bound =
   let* p = find_process ctx process in
   let eng = engine ctx ~nat_bound in
-  let output =
-    if compiled then begin
-      record_compile ctx ~process ~budget:(Some max_states) ~nat_bound;
-      let c = Engine.compile ~budget:max_states eng p in
-      let r = Compiled.explore_raw ~max_states c in
-      Dot.render ~name:process ~status:status_line r.Compiled.graph
-    end
-    else begin
+  record_compile ctx ~process ~budget:(Some max_states) ~nat_bound;
+  let c = Engine.compile ~budget:max_states eng p in
+  Ok (Compiled.explore_raw ~max_states c).Compiled.graph
+
+let graph_writer ctx ~process ~max_states ~nat_bound =
+  let* g = compiled_graph ctx ~process ~max_states ~nat_bound in
+  Ok
+    (fun ~escape buf ->
+      Dot.write ~escape ~name:process ~status:status_line buf g)
+
+let graph ctx ~process ~max_states ~nat_bound ~compiled =
+  let* output =
+    if compiled then
+      let* g = compiled_graph ctx ~process ~max_states ~nat_bound in
+      Ok (Dot.render ~name:process ~status:status_line g)
+    else
+      let* p = find_process ctx process in
+      let eng = engine ctx ~nat_bound in
       let lts = Lts.explore ~max_states (Engine.step_config eng) p in
       let facts =
         {
@@ -120,8 +130,7 @@ let graph ctx ~process ~max_states ~nat_bound ~compiled =
           truncated_states = List.length (Lts.truncated_states lts);
         }
       in
-      Lts.to_dot ~name:process ~header:(status_line facts) lts
-    end
+      Ok (Lts.to_dot ~name:process ~header:(status_line facts) lts)
   in
   Ok { output; exit_code = 0 }
 

@@ -70,6 +70,19 @@ val graph :
     {!Lts.truncated_states}, renders with {!Lts.to_dot}, and yields
     the same bytes. *)
 
+val graph_writer :
+  ctx ->
+  process:string ->
+  max_states:int ->
+  nat_bound:int ->
+  (escape:(string -> string) -> Buffer.t -> unit, string) result
+(** [graph ~compiled:true] with its render left to the caller: the
+    replay runs now, and the writer appends [escape] of that call's
+    [output] to a buffer through {!Dot.write}.  [cspc serve] writes a
+    [graph] reply's output this way, JSON-escaped straight into the
+    connection's output buffer.  Each call replays once and the
+    writer renders that replay; nothing is cached between replies. *)
+
 val status_line : Dot.facts -> string
 (** [cspc graph]'s first line: state and transition counts, the
     truncation note, determinism and the deadlock count. *)

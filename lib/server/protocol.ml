@@ -151,17 +151,45 @@ let error_response ?(id = Json.Null) kind msg =
       ("error", Json.str msg);
     ]
 
-let ok_response ~id ~op ?output ?exit_code ?stats ?(extra = []) ~elapsed_ms ()
-    =
+type output =
+  | Text of string
+  | Written of (escape:(string -> string) -> Buffer.t -> unit)
+
+(* The fields of an ok reply before and after its [output]: the tree
+   and the streamed frame list the same fields in the same order. *)
+let ok_head ~id ~op = [ ("id", id); ("ok", Json.Bool true); ("op", Json.str op) ]
+
+let ok_tail ?exit_code ?stats ?(extra = []) ~elapsed_ms () =
+  (match exit_code with Some e -> [ ("exit", Json.int e) ] | None -> [])
+  @ [ ("elapsed_ms", Json.Num elapsed_ms) ]
+  @ (match stats with
+    | Some kvs ->
+      [ ("stats", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) kvs)) ]
+    | None -> [])
+  @ extra
+
+let ok_response ~id ~op ?output ?exit_code ?stats ?extra ~elapsed_ms () =
   Json.Obj
-    ([ ("id", id); ("ok", Json.Bool true); ("op", Json.str op) ]
+    (ok_head ~id ~op
     @ (match output with Some o -> [ ("output", Json.str o) ] | None -> [])
-    @ (match exit_code with
-      | Some e -> [ ("exit", Json.int e) ]
-      | None -> [])
-    @ [ ("elapsed_ms", Json.Num elapsed_ms) ]
-    @ (match stats with
-      | Some kvs ->
-        [ ("stats", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) kvs)) ]
-      | None -> [])
-    @ extra)
+    @ ok_tail ?exit_code ?stats ?extra ~elapsed_ms ())
+
+let write_ok buf ~id ~op ?output ?exit_code ?stats ?extra ~elapsed_ms () =
+  let member sep (k, v) =
+    Buffer.add_char buf sep;
+    Json.to_buffer buf (Json.Str k);
+    Buffer.add_char buf ':';
+    Json.to_buffer buf v
+  in
+  List.iteri (fun i kv -> member (if i = 0 then '{' else ',') kv)
+    (ok_head ~id ~op);
+  (match output with
+  | None -> ()
+  | Some (Text o) -> member ',' ("output", Json.Str o)
+  | Some (Written w) ->
+    Buffer.add_string buf ",\"output\":\"";
+    w ~escape:Json.escape buf;
+    Buffer.add_char buf '"');
+  List.iter (member ',')
+    (ok_tail ?exit_code ?stats ?extra ~elapsed_ms:(elapsed_ms ()) ());
+  Buffer.add_char buf '}'

@@ -100,3 +100,31 @@ val ok_response :
     status; [stats] (present when the request asked for it) is the
     per-request {!Csp_obs.Obs.delta_snapshot} counter diff; [extra]
     appends op-specific fields (cache hits, snapshot paths, …). *)
+
+(** A reply's [output]: the text, or a writer that appends the text
+    through the escape it is given, as {!Csp.Dot.write} does, so a
+    [graph] reply's DOT goes into the frame without being built on
+    its own. *)
+type output =
+  | Text of string
+  | Written of (escape:(string -> string) -> Buffer.t -> unit)
+
+val write_ok :
+  Buffer.t ->
+  id:Csp_persist.Json.t ->
+  op:string ->
+  ?output:output ->
+  ?exit_code:int ->
+  ?stats:(string * int) list ->
+  ?extra:(string * Csp_persist.Json.t) list ->
+  elapsed_ms:(unit -> float) ->
+  unit ->
+  unit
+(** Appends the frame {!ok_response} prints (without its newline):
+    the same fields in the same order, and byte for byte
+    [Json.to_string (ok_response ~output:text …)] where [text] is the
+    output's text.  [id], [ok] and [op] are written first; a
+    [Written] output is then written inside the [output] string
+    through {!Csp_persist.Json.escape}.  [elapsed_ms] is called once
+    the output is written, so the reply's time includes its
+    escaping. *)

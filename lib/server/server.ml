@@ -245,11 +245,14 @@ let with_ctx t req job =
     Fun.protect ~finally:(fun () -> Mutex.unlock ctx.Jobs.lock) @@ fun () ->
     job ctx
 
+let text (o : Jobs.outcome) = (Protocol.Text o.Jobs.output, o.Jobs.exit_code)
+
 (* Jobs never raise on bad input (every failure is a typed [Error]);
    anything escaping here is a genuine bug, reported as [internal]
-   without killing the server. *)
+   without killing the server.  A [graph]'s output is left to its
+   writer, which renders it into the reply frame. *)
 let job_result t req = function
-  | "parse" -> with_ctx t req (fun ctx -> Ok (Jobs.parse ctx))
+  | "parse" -> with_ctx t req (fun ctx -> Ok (text (Jobs.parse ctx)))
   | "graph" ->
     let* max_states =
       int_param req "max_states" ~default:2000 ~cap:t.limits.Protocol.max_states
@@ -258,10 +261,8 @@ let job_result t req = function
     let* nat = int_param req "nat" ~default:3 ~cap:64 ~cap_name:"nat" in
     with_ctx t req (fun ctx ->
         let* process = require_str req "process" in
-        match
-          Jobs.graph ctx ~process ~max_states ~nat_bound:nat ~compiled:true
-        with
-        | Ok o -> Ok o
+        match Jobs.graph_writer ctx ~process ~max_states ~nat_bound:nat with
+        | Ok w -> Ok (Protocol.Written w, 0)
         | Error m -> Error (Protocol.Bad_request, m))
   | "refine" ->
     let* depth =
@@ -274,9 +275,10 @@ let job_result t req = function
         let* impl = require_str req "impl" in
         let* spec = require_str req "spec" in
         match Jobs.refine ctx ~impl ~spec ~depth ~nat_bound:nat ~weak with
-        | Ok o -> Ok o
+        | Ok o -> Ok (text o)
         | Error m -> Error (Protocol.Bad_request, m))
-  | "prove" -> with_ctx t req (fun ctx -> Ok (Jobs.prove ctx ~verbose:false))
+  | "prove" ->
+    with_ctx t req (fun ctx -> Ok (text (Jobs.prove ctx ~verbose:false)))
   | "fuzz" ->
     let* count =
       int_param req "count" ~default:200 ~cap:t.limits.Protocol.max_cases
@@ -301,67 +303,76 @@ let job_result t req = function
       | _ -> []
     in
     (match Jobs.fuzz ~seed ~count ~budget ~oracle_names () with
-    | Ok o -> Ok o
+    | Ok o -> Ok (text o)
     | Error m -> Error (Protocol.Bad_request, m))
   | op -> Error (Protocol.Bad_request, Printf.sprintf "unknown op %S" op)
 
-let handle_op t ~id ~op req =
+(* Writes the reply to one request into [buf]: a [graph]'s DOT goes
+   into its frame JSON-escaped as it is rendered, and [elapsed_ms] is
+   read after the output is written. *)
+let handle_op t buf ~id ~op req =
   let t0 = Unix.gettimeofday () in
   let elapsed () = (Unix.gettimeofday () -. t0) *. 1000. in
+  let reply j = Json.to_buffer buf j in
   match op with
   | "ping" ->
-    Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ())
-      ~extra:[ ("pong", Json.Bool true) ]
-      ()
+    reply
+      (Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ())
+         ~extra:[ ("pong", Json.Bool true) ]
+         ())
   | "stats" ->
-    Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ())
-      ~extra:
-        [
-          ("sources", Json.int (source_count t));
-          ("compiled", Json.int (compiled_total t));
-          ( "proofs",
-            Json.int
-              (List.fold_left
-                 (fun acc (c : Jobs.ctx) -> acc + List.length c.Jobs.proofs)
-                 0 (contexts t)) );
-        ]
-      ()
+    reply
+      (Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ())
+         ~extra:
+           [
+             ("sources", Json.int (source_count t));
+             ("compiled", Json.int (compiled_total t));
+             ( "proofs",
+               Json.int
+                 (List.fold_left
+                    (fun acc (c : Jobs.ctx) -> acc + List.length c.Jobs.proofs)
+                    0 (contexts t)) );
+           ]
+         ())
   | "shutdown" ->
     Atomic.set t.stop true;
-    Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ()) ()
+    reply (Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ()) ())
   | "save" -> (
     match require_str req "path" with
-    | Error (kind, m) -> Protocol.error_response ~id kind m
+    | Error (kind, m) -> reply (Protocol.error_response ~id kind m)
     | Ok path -> (
       let snap = snapshot_of t in
       match Snapshot.save path snap with
       | () ->
-        Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ())
-          ~extra:
-            [
-              ("path", Json.str path);
-              ("sources", Json.int (List.length snap.Snapshot.entries));
-            ]
-          ()
+        reply
+          (Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ())
+             ~extra:
+               [
+                 ("path", Json.str path);
+                 ("sources", Json.int (List.length snap.Snapshot.entries));
+               ]
+             ())
       | exception Sys_error m ->
-        Protocol.error_response ~id Protocol.Internal m))
+        reply (Protocol.error_response ~id Protocol.Internal m)))
   | "load" -> (
     match require_str req "path" with
-    | Error (kind, m) -> Protocol.error_response ~id kind m
+    | Error (kind, m) -> reply (Protocol.error_response ~id kind m)
     | Ok path -> (
       match Snapshot.load path with
-      | Error m -> Protocol.error_response ~id Protocol.Bad_request m
+      | Error m -> reply (Protocol.error_response ~id Protocol.Bad_request m)
       | Ok snap -> (
         match admit_snapshot t snap with
-        | Error m -> Protocol.error_response ~id Protocol.Bad_request m
+        | Error m ->
+          reply (Protocol.error_response ~id Protocol.Bad_request m)
         | Ok () ->
-          Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ())
-            ~extra:
-              [
-                ("path", Json.str path);
-                ("sources", Json.int (List.length snap.Snapshot.entries));
-              ]
-            ())))
+          reply
+            (Protocol.ok_response ~id ~op ~elapsed_ms:(elapsed ())
+               ~extra:
+                 [
+                   ("path", Json.str path);
+                   ("sources", Json.int (List.length snap.Snapshot.entries));
+                 ]
+               ()))))
   | _ -> (
     let result, stats =
       match field_bool ~default:false req "stats" with
@@ -372,10 +383,10 @@ let handle_op t ~id ~op req =
         (r, Some deltas)
     in
     match result with
-    | Ok (o : Jobs.outcome) ->
-      Protocol.ok_response ~id ~op ~output:o.Jobs.output
-        ~exit_code:o.Jobs.exit_code ?stats ~elapsed_ms:(elapsed ()) ()
-    | Error (kind, m) -> Protocol.error_response ~id kind m)
+    | Ok (output, exit_code) ->
+      Protocol.write_ok buf ~id ~op ~output ~exit_code ?stats
+        ~elapsed_ms:elapsed ()
+    | Error (kind, m) -> reply (Protocol.error_response ~id kind m))
 
 (* A frame parsed into its id, op and fields, or the reply that
    refuses it. *)
@@ -398,14 +409,23 @@ let request_of_line line =
       (Protocol.error_response Protocol.Malformed_frame
          "request frame must be a JSON object")
 
-let answer t (id, op, req) =
-  try handle_op t ~id ~op req
-  with e -> Protocol.error_response ~id Protocol.Internal (Printexc.to_string e)
+(* A job that raises after its frame has begun leaves none of it:
+   [buf] is cut back to the frame's start before the [internal] error
+   frame is written. *)
+let answer t buf (id, op, req) =
+  let start = Buffer.length buf in
+  try handle_op t buf ~id ~op req
+  with e ->
+    Buffer.truncate buf start;
+    Json.to_buffer buf
+      (Protocol.error_response ~id Protocol.Internal (Printexc.to_string e))
 
-let respond t line =
-  match request_of_line line with Error resp -> resp | Ok r -> answer t r
-
-let handle_line t line = Json.to_string (respond t line)
+let handle_line t line =
+  let buf = Buffer.create 256 in
+  (match request_of_line line with
+  | Error resp -> Json.to_buffer buf resp
+  | Ok r -> answer t buf r);
+  Buffer.contents buf
 
 (* ---- the socket loop --------------------------------------------------- *)
 
@@ -415,14 +435,16 @@ let cancelled = Obs.Counter.make "serve.cancelled"
 
 (* One live connection, on a non-blocking socket.  The reader keeps
    the bytes of a frame still arriving; [out] holds a reply the socket
-   has taken [sent] bytes of.  While [out] is not empty or the
+   has taken [sent] bytes of.  While [out] holds bytes or the
    connection's job is paused ([busy]), the next frame is not read, so
    replies leave in request order and at most one waits per
-   connection. *)
+   connection.  [out] is cleared, not shrunk, once written: it keeps
+   the capacity of the connection's largest reply until the
+   connection closes. *)
 type conn = {
   fd : Unix.file_descr;
   reader : Protocol.reader;
-  mutable out : string;
+  out : Buffer.t;
   mutable sent : int;
   mutable busy : bool;
   mutable closing : bool;  (* close once [out] is written *)
@@ -434,7 +456,7 @@ type conn = {
    one with pipelined bytes is not watched until the job ends. *)
 type paused = {
   conn : conn;
-  k : (unit, Json.t Coop.status) Effect.Deep.continuation;
+  k : (unit, unit Coop.status) Effect.Deep.continuation;
   mutable watched : bool;
 }
 
@@ -452,22 +474,26 @@ let peek_conn fd =
   | exception Unix.Unix_error (e, _, _) when would_block e -> `Quiet
   | exception Unix.Unix_error _ -> `Closed
 
-(* Write what the socket takes of the connection's reply; [true] once
-   all of it is written.  Raises [Unix.Unix_error] when the peer has
-   gone. *)
-let rec flush c =
-  let n = String.length c.out in
+(* Write what the socket takes of the connection's reply, from [out]
+   at offset [sent] through the loop's [chunk] (one copy per byte, no
+   allocation); [true] once all of it is written.  Raises
+   [Unix.Unix_error] when the peer has gone. *)
+let rec flush chunk c =
+  let n = Buffer.length c.out in
   if c.sent >= n then begin
-    c.out <- "";
+    Buffer.clear c.out;
     c.sent <- 0;
     true
   end
-  else
-    match Unix.write_substring c.fd c.out c.sent (n - c.sent) with
+  else begin
+    let len = min (n - c.sent) (Bytes.length chunk) in
+    Buffer.blit c.out c.sent chunk 0 len;
+    match Unix.write c.fd chunk 0 len with
     | k ->
       c.sent <- c.sent + k;
-      flush c
+      flush chunk c
     | exception Unix.Unix_error (e, _, _) when would_block e -> false
+  end
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -491,6 +517,7 @@ let serve ?ready t cfg =
    with Invalid_argument _ -> ());
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let chunk = Bytes.create 65536 in
   let conns = ref [] (* newest first *) in
   let paused = Queue.create () in
   let drop c =
@@ -527,38 +554,43 @@ let serve ?ready t cfg =
         (* the frame boundary is lost: answer once, then close rather
            than try to resynchronise *)
         c.closing <- true;
-        send c
+        Json.to_buffer c.out
           (Protocol.error_response Protocol.Frame_too_large
              (Printf.sprintf "frame exceeds %d bytes"
-                t.limits.Protocol.max_frame))
-  (* write what the socket takes now; the rest waits for [select] *)
-  and send c resp =
-    c.out <- Json.to_line resp;
+                t.limits.Protocol.max_frame));
+        send c
+  (* end the frame in [out], write what the socket takes now; the rest
+     waits for [select] *)
+  and send c =
+    Buffer.add_char c.out '\n';
     written c
   and written c =
-    match flush c with
+    match flush chunk c with
     | true -> next c
     | false -> ()
     | exception Unix.Unix_error _ -> drop c
   and start c line =
     match request_of_line line with
     | exception _ -> drop c
-    | Error resp -> send c resp
+    | Error resp ->
+      Json.to_buffer c.out resp;
+      send c
     | Ok ((_, _, req) as r) ->
       if field_bool ~default:false req "stats" = Ok true then begin
         finish_paused ();
-        send c (answer t r)
+        answer t c.out r;
+        send c
       end
-      else settle c (Coop.slice (fun () -> answer t r))
+      else settle c (Coop.slice (fun () -> answer t c.out r))
   and settle c = function
     | Coop.Paused k ->
       c.busy <- true;
       Queue.push
         { conn = c; k; watched = not (Protocol.buffered_frame c.reader) }
         paused
-    | Coop.Done resp ->
+    | Coop.Done () ->
       c.busy <- false;
-      send c resp
+      send c
   and resume_oldest () =
     let p = Queue.pop paused in
     settle p.conn (Effect.Deep.continue p.k ())
@@ -573,8 +605,8 @@ let serve ?ready t cfg =
       Unix.set_nonblock fd;
       let reader = Protocol.reader ~max_frame:t.limits.Protocol.max_frame fd in
       conns :=
-        { fd; reader; out = ""; sent = 0; busy = false; closing = false;
-          closed = false }
+        { fd; reader; out = Buffer.create 4096; sent = 0; busy = false;
+          closing = false; closed = false }
         :: !conns
     | exception Unix.Unix_error _ -> ()
   in
@@ -609,8 +641,9 @@ let serve ?ready t cfg =
   (match ready with Some f -> f () | None -> ());
   while not (Atomic.get t.stop) do
     let live = !conns in
-    let reading = List.filter (fun c -> (not c.busy) && c.out = "") live in
-    let writing = List.filter (fun c -> c.out <> "") live in
+    let pending c = Buffer.length c.out > 0 in
+    let reading = List.filter (fun c -> not (c.busy || pending c)) live in
+    let writing = List.filter (fun c -> (not c.busy) && pending c) live in
     let watched_paused =
       Queue.fold
         (fun acc p -> if p.watched then p.conn.fd :: acc else acc)

@@ -21,6 +21,22 @@
     most one waits per connection.  A client that sent half a frame,
     or does not read its reply, holds up nobody else.
 
+    Replies are written once.  Each reply frame is printed straight
+    into its connection's output buffer: [id], [ok] and [op], then the
+    [output] string (a [graph]'s DOT is rendered into it JSON-escaped,
+    {!Csp.Dot.write} with {!Csp_persist.Json.escape}, so neither the
+    DOT text nor its escaped copy is built on its own), then [exit],
+    [elapsed_ms] and [stats].  The socket is written from that buffer
+    at an offset, through one 64 KiB chunk the loop owns.  The bytes
+    are those of [Json.to_line (Protocol.ok_response …)].  A job that
+    raises after its frame has begun leaves none of it: the buffer is
+    cut back to the frame's start and the [internal] error frame is
+    written instead.  Retention: the buffer is reused across the
+    connection's replies and freed with the connection.  It is
+    cleared, not shrunk, once a reply is written, so a connection
+    keeps the capacity its largest reply needed (less than twice that
+    reply's size) until it closes.
+
     Every job runs as cooperative slices ({!Csp_parallel.Coop}), so a
     batch job does not stall interactive clients.  A job may pause at
     every 16th row of a walk (compile, replay, counter quotient) and
@@ -40,7 +56,10 @@
       job ends.
 
     Slicing has three visible side effects.  A reply's [elapsed_ms]
-    stays the wall time from dispatch to reply, pauses included.  A
+    stays the wall time from dispatch to reply, pauses included; it is
+    read once the output is in the frame, so it includes the output's
+    rendering and escaping.  A [stats:true] reply's counters cover the
+    job up to its output's rendering, which counts nothing.  A
     [fuzz] with a [budget] spends part of it on other jobs' slices.
     Spans recorded by interleaved jobs overlap in time; each job's
     spans keep the depths they have when it runs alone.
@@ -74,7 +93,8 @@ val create : config -> (t, string) result
 
 val handle_line : t -> string -> string
 (** One request frame in, one response frame out (no trailing
-    newline).  Exposed for in-process use: the differential and
+    newline), printed by the socket loop's frame writer into a fresh
+    buffer.  Exposed for in-process use: the differential, frame and
     persistence tests drive the full protocol through this without a
     socket. *)
 
