@@ -94,6 +94,132 @@ let json_escape_property =
          && Json.parse printed = Ok (Json.Str s)
          && String.equal (Json.to_line (Json.Str s)) (printed ^ "\n")))
 
+(* The parser's string reader before it copied plain runs whole: one
+   buffer append per byte.  Kept as the reference the faster one must
+   match, in values and in error offsets, on inputs that are one string
+   literal followed by optional whitespace and garbage. *)
+let reference_parse_string s =
+  let n = String.length s in
+  let i = ref 1 and buf = Buffer.create 16 in
+  let fail pos m = raise (Failure (Printf.sprintf "%s at byte %d" m pos)) in
+  let hex4 () =
+    if !i + 4 > n then fail !i "truncated \\u escape";
+    let v = ref 0 in
+    for k = 0 to 3 do
+      let d =
+        match s.[!i + k] with
+        | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+        | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+        | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+        | _ -> fail (!i + k) "invalid \\u escape"
+      in
+      v := (!v * 16) + d
+    done;
+    i := !i + 4;
+    !v
+  in
+  let add_utf8 cp =
+    let b = Buffer.add_char buf and c = Char.chr in
+    if cp < 0x80 then b (c cp)
+    else if cp < 0x800 then begin
+      b (c (0xc0 lor (cp lsr 6)));
+      b (c (0x80 lor (cp land 0x3f)))
+    end
+    else if cp < 0x10000 then begin
+      b (c (0xe0 lor (cp lsr 12)));
+      b (c (0x80 lor ((cp lsr 6) land 0x3f)));
+      b (c (0x80 lor (cp land 0x3f)))
+    end
+    else begin
+      b (c (0xf0 lor (cp lsr 18)));
+      b (c (0x80 lor ((cp lsr 12) land 0x3f)));
+      b (c (0x80 lor ((cp lsr 6) land 0x3f)));
+      b (c (0x80 lor (cp land 0x3f)))
+    end
+  in
+  let rec go () =
+    if !i >= n then fail !i "unterminated string";
+    match s.[!i] with
+    | '"' -> incr i
+    | '\\' ->
+      incr i;
+      if !i >= n then fail !i "unterminated escape";
+      let ch = s.[!i] in
+      incr i;
+      (match ch with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+        let cp = hex4 () in
+        if cp >= 0xd800 && cp <= 0xdbff then begin
+          if !i + 1 < n && s.[!i] = '\\' && s.[!i + 1] = 'u' then begin
+            i := !i + 2;
+            let lo = hex4 () in
+            if lo < 0xdc00 || lo > 0xdfff then fail !i "invalid low surrogate";
+            add_utf8 (0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00))
+          end
+          else fail !i "unpaired surrogate"
+        end
+        else if cp >= 0xdc00 && cp <= 0xdfff then fail !i "unpaired surrogate"
+        else add_utf8 cp
+      | _ -> fail (!i - 1) (Printf.sprintf "invalid escape '\\%c'" ch));
+      go ()
+    | ch when Char.code ch < 0x20 -> fail !i "unescaped control character"
+    | ch ->
+      Buffer.add_char buf ch;
+      incr i;
+      go ()
+  in
+  match
+    go ();
+    while !i < n && String.contains " \t\n\r" s.[!i] do
+      incr i
+    done;
+    if !i <> n then fail !i "trailing garbage"
+  with
+  | () -> Ok (Json.Str (Buffer.contents buf))
+  | exception Failure m -> Error m
+
+(* The body of a string literal: the escaper's strings, printed and
+   raw, and escape sequences valid and broken, so the reader's every
+   path and error offset is reached. *)
+let literal_body =
+  let printed s =
+    let r = reference_escape s in
+    String.sub r 1 (String.length r - 2)
+  in
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 24)
+         (frequency
+            [
+              (4, map printed json_string);
+              (1, json_string);
+              ( 3,
+                oneofl
+                  [ {|\n|}; {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\t|};
+                    {|\u00e9|}; {|\u20AC|}; {|\ud83d\ude00|}; {|\u0000|} ] );
+              ( 1,
+                oneofl
+                  [ {|\x|}; {|\u12|}; {|\u12g4|}; {|\ud83d|}; {|\ud83dx|};
+                    {|\ud83d\u0041|}; {|\ude00|}; "\\"; "\" 1"; "\"  " ] );
+            ])))
+
+let json_parse_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000
+       ~name:"string reading: the per-byte reference's values and errors"
+       ~print:(Printf.sprintf "%S") literal_body (fun body ->
+         List.for_all
+           (fun input -> Json.parse input = reference_parse_string input)
+           [ "\"" ^ body ^ "\""; "\"" ^ body; "\"" ^ body ^ "\" \n" ]))
+
 let test_json_errors () =
   let bad s =
     match Json.parse s with
@@ -210,6 +336,7 @@ let () =
           Alcotest.test_case "numbers" `Quick test_json_numbers;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           json_escape_property;
+          json_parse_property;
           Alcotest.test_case "errors" `Quick test_json_errors;
         ] );
       ( "snapshot",

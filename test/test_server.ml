@@ -818,6 +818,300 @@ let test_slice_span_depths () =
       "span depths of a solo run" solo interleaved;
     check_int "the caller's depth after both jobs" 0 (Obs.span_depth ())
 
+(* ---- frames: each reply written once, byte for byte the tree's -------- *)
+
+module Jobs = Csp_server.Jobs
+module Dot = Csp.Dot
+
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* [elapsed_ms] is the one field two runs of a reply may differ in: its
+   number reads 0.  Inside a string every quote is escaped, so the key
+   is found only where the field is. *)
+let mask_ms line =
+  let key = "\"elapsed_ms\":" in
+  match find_sub line key with
+  | None -> line
+  | Some i ->
+    let j = i + String.length key in
+    let k = ref j in
+    while !k < String.length line && String.contains "0123456789.-+eE" line.[!k] do
+      incr k
+    done;
+    String.sub line 0 j ^ "0" ^ String.sub line !k (String.length line - !k)
+
+let ctx_of source =
+  match Jobs.ctx_of_source source with
+  | Ok c -> c
+  | Error m -> Alcotest.fail m
+
+let with_id id kvs =
+  match id with None -> req "graph" kvs | Some i -> Json.Obj (("id", i) :: ("op", Json.str "graph") :: kvs)
+
+(* A request and the frame an in-process tree gives for it: the
+   outcome of a cold [Jobs] call printed by [Json.to_string]. *)
+let graph_case ?id ?(max_states = 2000) ?(nat = 3) source process =
+  let request =
+    with_id id
+      [ src source; ("process", Json.str process);
+        ("max_states", Json.int max_states); ("nat", Json.int nat) ]
+  in
+  let o =
+    match
+      Jobs.graph (ctx_of source) ~process ~max_states ~nat_bound:nat
+        ~compiled:true
+    with
+    | Ok o -> o
+    | Error m -> Alcotest.fail m
+  in
+  ( request,
+    Json.to_string
+      (Protocol.ok_response ~id:(Option.value ~default:Json.Null id)
+         ~op:"graph" ~output:o.Jobs.output ~exit_code:o.Jobs.exit_code
+         ~elapsed_ms:0. ()) )
+
+let deadlock_source = "main = a!0 -> STOP\n"
+
+let graph_cases () =
+  [
+    ("ring", graph_case ~id:(Json.int 1) ring_source "main");
+    ("window at 5 states", graph_case ~id:(Json.int 2) ~max_states:5 window_source "main");
+    ( "multiplier network",
+      graph_case ~id:(Json.int 3) ~nat:2 ~max_states:50_000 multiplier_source
+        "network" );
+    ("a deadlock state", graph_case ~id:(Json.int 4) deadlock_source "main");
+    ( "a hidden edge",
+      graph_case ~id:(Json.int 5)
+        (corpus_source "closure-kernel-par-hide.csp")
+        "main" );
+  ]
+
+let id_cases () =
+  List.map
+    (fun (label, id) -> ("id " ^ label, graph_case ?id ring_source "main"))
+    [
+      ("absent", None);
+      ("an int", Some (Json.int 7));
+      ("a string with quote and backslash", Some (Json.str "a\"b\\c"));
+      ("an array", Some (Json.Arr [ Json.int 1; Json.str "x" ]));
+      ("an object", Some (Json.Obj [ ("k", Json.Arr []); ("q", Json.str "\"") ]));
+    ]
+
+let check_frame label expected line =
+  check_string label (mask_ms expected) (mask_ms line)
+
+let test_frames_graph () =
+  let t = fresh_server () in
+  let cases = graph_cases () in
+  (* each graph draws what it is there for *)
+  List.iter2
+    (fun (label, (_, expected)) (feature, min_bytes) ->
+      check_bool (label ^ " draws " ^ feature) true
+        (find_sub expected feature <> None
+        && String.length expected >= min_bytes))
+    cases
+    [ ("[style=bold]", 0); ("style=dashed];", 0); ("[shape=circle]", 300_000);
+      ("doublecircle", 0); ("\\\", style=dashed];", 0) ];
+  List.iter
+    (fun (label, (request, expected)) ->
+      check_frame label expected (Server.handle_line t (Json.to_string request)))
+    (cases @ id_cases ())
+
+(* The other ops' replies, an error reply and a [stats:true] reply. *)
+let test_frames_other_ops () =
+  let t = fresh_server () in
+  let line request = Server.handle_line t (Json.to_string request) in
+  let ok ~op (o : Jobs.outcome) =
+    Json.to_string
+      (Protocol.ok_response ~id:Json.Null ~op ~output:o.Jobs.output
+         ~exit_code:o.Jobs.exit_code ~elapsed_ms:0. ())
+  in
+  let get = function Ok o -> o | Error m -> Alcotest.fail m in
+  check_frame "parse" (ok ~op:"parse" (Jobs.parse (ctx_of protocol_source)))
+    (line parse_req);
+  check_frame "refine"
+    (ok ~op:"refine"
+       (get
+          (Jobs.refine (ctx_of refine_fail_source) ~impl:"impl" ~spec:"spec"
+             ~depth:5 ~nat_bound:3 ~weak:false)))
+    (line
+       (req "refine"
+          [ src refine_fail_source; ("impl", Json.str "impl");
+            ("spec", Json.str "spec") ]));
+  check_frame "prove"
+    (ok ~op:"prove" (Jobs.prove (ctx_of copier_source) ~verbose:false))
+    (line (req "prove" [ src copier_source ]));
+  check_string "fuzz"
+    (mask_elapsed
+       (mask_ms
+          (ok ~op:"fuzz"
+             (get
+                (Jobs.fuzz ~seed:5 ~count:10 ~budget:None ~oracle_names:[] ())))))
+    (mask_elapsed (mask_ms (line (fuzz_req 10))));
+  let undefined =
+    Json.Obj
+      [ ("id", Json.str "u"); ("op", Json.str "graph"); src deadlock_source;
+        ("process", Json.str "nope") ]
+  in
+  check_string "an error reply"
+    (Json.to_string
+       (Protocol.error_response ~id:(Json.str "u") Protocol.Bad_request
+          "process nope is not defined"))
+    (line undefined);
+  let request, _ = graph_case ring_source "main" in
+  let request =
+    match request with
+    | Json.Obj kvs -> Json.Obj (kvs @ [ ("stats", Json.Bool true) ])
+    | j -> j
+  in
+  let reply = line request in
+  let stats =
+    match Json.parse reply with
+    | Ok j -> (
+      match Json.member "stats" j with
+      | Some (Json.Obj kvs) ->
+        List.map (fun (k, v) -> (k, Option.get (Json.to_int v))) kvs
+      | _ -> Alcotest.fail "a stats:true reply carries no stats")
+    | Error m -> Alcotest.fail m
+  in
+  let o =
+    get
+      (Jobs.graph (ctx_of ring_source) ~process:"main" ~max_states:2000
+         ~nat_bound:3 ~compiled:true)
+  in
+  check_frame "stats:true"
+    (Json.to_string
+       (Protocol.ok_response ~id:Json.Null ~op:"graph" ~output:o.Jobs.output
+          ~exit_code:0 ~stats ~elapsed_ms:0. ()))
+    reply
+
+(* The raw bytes up to and including the next newline; one request is
+   outstanding, so nothing follows them. *)
+let raw_line fd =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] 60. with
+    | [], _, _ -> Alcotest.fail "no reply within 60 s"
+    | _ -> (
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Alcotest.fail "server closed the connection"
+      | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        if Bytes.get chunk (k - 1) = '\n' then Buffer.contents buf else go ())
+  in
+  go ()
+
+(* Over a socket each reply is one line, [Json.to_line] of the tree. *)
+let test_frames_socket () =
+  let cases = graph_cases () @ id_cases () in
+  with_server @@ fun socket ->
+  let fd = raw_connect socket in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  List.iter
+    (fun (label, (request, expected)) ->
+      send fd request;
+      let line = raw_line fd in
+      check_frame label (expected ^ "\n") line;
+      check_bool (label ^ ": one line") true
+        (String.index line '\n' = String.length line - 1))
+    cases
+
+(* One connection's buffer carries a long reply, then shorter ones,
+   then the long one again: no byte of a reply survives into the
+   next. *)
+let test_frames_reused_buffer () =
+  let requests =
+    [ slow_graph; req "graph" [ src ring_source; ("process", Json.str "main") ];
+      req "graph" [ src ring_source; ("process", Json.str "nope") ]; slow_graph ]
+  in
+  let idle =
+    List.map
+      (fun r -> Server.handle_line (fresh_server ()) (Json.to_string r))
+      requests
+  in
+  with_server @@ fun socket ->
+  let fd = raw_connect socket in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  List.iter (send fd) requests;
+  let reader = Protocol.reader ~max_frame:(64 * 1024 * 1024) fd in
+  List.iteri
+    (fun i expected ->
+      let label = Printf.sprintf "reply %d" (i + 1) in
+      match Protocol.read_frame reader with
+      | `Frame line -> check_frame label expected line
+      | `Partial | `Eof | `Too_large -> Alcotest.failf "%s: no reply" label)
+    idle
+
+(* The JSON sink writes [Json.escape] of what the identity sink
+   writes, over labels, names and headers that need every escape. *)
+let dot_sinks_property =
+  let open QCheck2.Gen in
+  let byte =
+    frequency
+      [
+        (3, oneofl [ '"'; '\\'; '\n'; '\r'; '\t' ]);
+        (2, map Char.chr (int_range 0 0x1f));
+        (2, map Char.chr (int_range 0x80 0xff));
+        (3, char);
+      ]
+  in
+  let text =
+    map (String.concat "")
+      (list_size (int_range 0 6)
+         (oneof
+            [ string_size ~gen:byte (int_range 0 6);
+              oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\"\\" ] ]))
+  in
+  let value =
+    oneof
+      [ map (fun s -> Csp.Value.Str s) text; map (fun s -> Csp.Value.Sym s) text ]
+  in
+  let event =
+    map2
+      (fun c v -> Csp.Event.make (Csp.Channel.make c) v)
+      (oneofl [ "a"; "b\"c"; "d\\e" ])
+      value
+  in
+  let graph =
+    int_range 1 5 >>= fun n ->
+    let state = int_range 0 (n - 1) in
+    map3
+      (fun edges truncated (initial, complete) ->
+        Dot.of_transitions ~initial ~n_states:n ~complete
+          ~truncated:(Array.of_list truncated) ~n_edges:(List.length edges)
+          (fun add -> List.iter (fun (s, e, v, t) -> add s e v t) edges))
+      (list_size (int_range 0 8) (quad state event bool state))
+      (list_repeat n bool)
+      (pair state bool)
+  in
+  let name =
+    oneof
+      [ oneofl [ "lts"; "a b"; "node"; "Graph"; "x\"y"; "1abc"; ""; "back\\slash" ];
+        text ]
+  in
+  let case = triple graph name text in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"the JSON sink writes Json.escape of the identity sink"
+       ~print:(fun (_, name, header) -> Printf.sprintf "name %S header %S" name header)
+       case (fun (g, name, header) ->
+         let text = Dot.render ~name ~header ~status:Jobs.status_line g in
+         let buf = Buffer.create 16 in
+         Buffer.add_string buf "{";
+         Dot.write ~escape:Json.escape ~name ~header ~status:Jobs.status_line buf g;
+         let written = Buffer.contents buf in
+         String.equal written ("{" ^ Json.escape text)
+         && String.equal written
+              ("{" ^ (let s = Json.to_string (Json.Str text) in
+                      String.sub s 1 (String.length s - 2)))))
+
 (* ---- persistence through the server ------------------------------------ *)
 
 let test_save_load_roundtrip () =
@@ -945,6 +1239,15 @@ let () =
             test_unread_reply_blocks_nobody;
           Alcotest.test_case "pipelined frames wait for a pending reply"
             `Quick test_pipelined_behind_pending_reply;
+        ] );
+      ( "frames",
+        [
+          Alcotest.test_case "graph replies" `Quick test_frames_graph;
+          Alcotest.test_case "other ops, errors, stats" `Quick
+            test_frames_other_ops;
+          Alcotest.test_case "over a socket" `Quick test_frames_socket;
+          Alcotest.test_case "a reused buffer" `Quick test_frames_reused_buffer;
+          dot_sinks_property;
         ] );
       ( "persistence",
         [
