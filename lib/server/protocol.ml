@@ -174,7 +174,7 @@ let ok_response ~id ~op ?output ?exit_code ?stats ?extra ~elapsed_ms () =
     @ (match output with Some o -> [ ("output", Json.str o) ] | None -> [])
     @ ok_tail ?exit_code ?stats ?extra ~elapsed_ms ())
 
-let write_ok buf ~id ~op ?output ?exit_code ?stats ?extra ~elapsed_ms () =
+let write_ok buf ~id ~op ~output ~exit_code ?stats ~elapsed_ms () =
   let member sep (k, v) =
     Buffer.add_char buf sep;
     Json.to_buffer buf (Json.Str k);
@@ -184,12 +184,11 @@ let write_ok buf ~id ~op ?output ?exit_code ?stats ?extra ~elapsed_ms () =
   List.iteri (fun i kv -> member (if i = 0 then '{' else ',') kv)
     (ok_head ~id ~op);
   (match output with
-  | None -> ()
-  | Some (Text o) -> member ',' ("output", Json.Str o)
-  | Some (Written w) ->
+  | Text o -> member ',' ("output", Json.Str o)
+  | Written w ->
     Buffer.add_string buf ",\"output\":\"";
     w ~escape:Json.escape buf;
     Buffer.add_char buf '"');
   List.iter (member ',')
-    (ok_tail ?exit_code ?stats ?extra ~elapsed_ms:(elapsed_ms ()) ());
+    (ok_tail ~exit_code ?stats ~elapsed_ms:(elapsed_ms ()) ());
   Buffer.add_char buf '}'

@@ -113,15 +113,14 @@ val write_ok :
   Buffer.t ->
   id:Csp_persist.Json.t ->
   op:string ->
-  ?output:output ->
-  ?exit_code:int ->
+  output:output ->
+  exit_code:int ->
   ?stats:(string * int) list ->
-  ?extra:(string * Csp_persist.Json.t) list ->
   elapsed_ms:(unit -> float) ->
   unit ->
   unit
-(** Appends the frame {!ok_response} prints (without its newline):
-    the same fields in the same order, and byte for byte
+(** Appends the frame {!ok_response} prints for a job's reply (without
+    its newline): the same fields in the same order, and byte for byte
     [Json.to_string (ok_response ~output:text …)] where [text] is the
     output's text.  [id], [ok] and [op] are written first; a
     [Written] output is then written inside the [output] string
