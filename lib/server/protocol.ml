@@ -157,7 +157,8 @@ type output =
 
 (* The fields of an ok reply before and after its [output]: the tree
    and the streamed frame list the same fields in the same order. *)
-let ok_head ~id ~op = [ ("id", id); ("ok", Json.Bool true); ("op", Json.str op) ]
+let ok_head ~id ~op =
+  [ ("id", id); ("ok", Json.Bool true); ("op", Json.str op) ]
 
 let ok_tail ?exit_code ?stats ?(extra = []) ~elapsed_ms () =
   (match exit_code with Some e -> [ ("exit", Json.int e) ] | None -> [])

@@ -842,7 +842,9 @@ let mask_ms line =
   | Some i ->
     let j = i + String.length key in
     let k = ref j in
-    while !k < String.length line && String.contains "0123456789.-+eE" line.[!k] do
+    while
+      !k < String.length line && String.contains "0123456789.-+eE" line.[!k]
+    do
       incr k
     done;
     String.sub line 0 j ^ "0" ^ String.sub line !k (String.length line - !k)
@@ -852,16 +854,14 @@ let ctx_of source =
   | Ok c -> c
   | Error m -> Alcotest.fail m
 
-let with_id id kvs =
-  match id with None -> req "graph" kvs | Some i -> Json.Obj (("id", i) :: ("op", Json.str "graph") :: kvs)
-
 (* A request and the frame an in-process tree gives for it: the
    outcome of a cold [Jobs] call printed by [Json.to_string]. *)
 let graph_case ?id ?(max_states = 2000) ?(nat = 3) source process =
   let request =
-    with_id id
-      [ src source; ("process", Json.str process);
-        ("max_states", Json.int max_states); ("nat", Json.int nat) ]
+    Json.Obj
+      ((match id with Some i -> [ ("id", i) ] | None -> [])
+      @ [ ("op", Json.str "graph"); src source; ("process", Json.str process);
+          ("max_states", Json.int max_states); ("nat", Json.int nat) ])
   in
   let o =
     match
@@ -882,7 +882,8 @@ let deadlock_source = "main = a!0 -> STOP\n"
 let graph_cases () =
   [
     ("ring", graph_case ~id:(Json.int 1) ring_source "main");
-    ("window at 5 states", graph_case ~id:(Json.int 2) ~max_states:5 window_source "main");
+    ( "window at 5 states",
+      graph_case ~id:(Json.int 2) ~max_states:5 window_source "main" );
     ( "multiplier network",
       graph_case ~id:(Json.int 3) ~nat:2 ~max_states:50_000 multiplier_source
         "network" );
@@ -901,7 +902,8 @@ let id_cases () =
       ("an int", Some (Json.int 7));
       ("a string with quote and backslash", Some (Json.str "a\"b\\c"));
       ("an array", Some (Json.Arr [ Json.int 1; Json.str "x" ]));
-      ("an object", Some (Json.Obj [ ("k", Json.Arr []); ("q", Json.str "\"") ]));
+      ( "an object",
+        Some (Json.Obj [ ("k", Json.Arr []); ("q", Json.str "\"") ]) );
     ]
 
 let check_frame label expected line =
@@ -921,7 +923,8 @@ let test_frames_graph () =
       ("doublecircle", 0); ("\\\", style=dashed];", 0) ];
   List.iter
     (fun (label, (request, expected)) ->
-      check_frame label expected (Server.handle_line t (Json.to_string request)))
+      check_frame label expected
+        (Server.handle_line t (Json.to_string request)))
     (cases @ id_cases ())
 
 (* The other ops' replies, an error reply and a [stats:true] reply. *)
@@ -1028,8 +1031,12 @@ let test_frames_socket () =
    next. *)
 let test_frames_reused_buffer () =
   let requests =
-    [ slow_graph; req "graph" [ src ring_source; ("process", Json.str "main") ];
-      req "graph" [ src ring_source; ("process", Json.str "nope") ]; slow_graph ]
+    [
+      slow_graph;
+      req "graph" [ src ring_source; ("process", Json.str "main") ];
+      req "graph" [ src ring_source; ("process", Json.str "nope") ];
+      slow_graph;
+    ]
   in
   let idle =
     List.map
@@ -1100,7 +1107,8 @@ let dot_sinks_property =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300
        ~name:"the JSON sink writes Json.escape of the identity sink"
-       ~print:(fun (_, name, header) -> Printf.sprintf "name %S header %S" name header)
+       ~print:(fun (_, name, header) ->
+         Printf.sprintf "name %S header %S" name header)
        case (fun (g, name, header) ->
          let text = Dot.render ~name ~header ~status:Jobs.status_line g in
          let buf = Buffer.create 16 in
