@@ -34,8 +34,8 @@
     written instead.  Retention: the buffer is reused across the
     connection's replies and freed with the connection.  It is
     cleared, not shrunk, once a reply is written, so a connection
-    keeps the capacity its largest reply needed (less than twice that
-    reply's size) until it closes.
+    keeps the capacity its largest reply needed (its initial 4 KiB,
+    or less than twice that reply's size) until it closes.
 
     Every job runs as cooperative slices ({!Csp_parallel.Coop}), so a
     batch job does not stall interactive clients.  A job may pause at
