@@ -37,6 +37,7 @@ type t = {
 }
 
 let id t = t.id
+let children t = t.children
 let hash t = t.id land max_int
 let cardinal t = t.cardinal
 let depth t = t.depth

@@ -91,6 +91,14 @@ val events : t -> Csp_trace.Event.t list
 (** All events occurring anywhere in the closure, deduplicated
     (returned in [Event.compare] order). *)
 
+val children : t -> (Csp_trace.Event.t * t) list
+(** The trie edges out of the root: one [(e, t')] per event [e] that
+    begins a member trace, with [t'] the closure of what may follow
+    [e], in [Event.compare] order and duplicate-free.  O(1): the node's
+    own list, which no operation mutates.  Shared subtrees are
+    physically equal, so a walk keyed on {!id} visits the hash-consed
+    DAG, not the trace tree. *)
+
 val id : t -> int
 (** The unique node id: equal ids ⇔ equal closures.  Never reused. *)
 
