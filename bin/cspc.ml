@@ -76,10 +76,13 @@ let install_telemetry t =
   end
 
 (* Instrument the command body itself: with telemetry off this is one
-   atomic load, with it on the trace gets a root span per command. *)
+   atomic load, with it on the trace gets a root span per command.  An
+   unguarded definition is bad input: every subcommand dies on it with
+   the message a job answers. *)
 let with_telemetry name t f =
   install_telemetry t;
-  Obs.span ~cat:"cli" name f
+  try Obs.span ~cat:"cli" name f
+  with Step.Unproductive n -> die "%s" (Jobs.unguarded n)
 
 (* ---- parse ---------------------------------------------------------- *)
 

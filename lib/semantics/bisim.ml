@@ -245,15 +245,18 @@ let explore_side ?compiler ~max_states cfg p =
   | Some compile -> Lts.explore ~max_states ~compiled:(compile p) cfg p
   | None -> Lts.explore ~max_states cfg p
 
-let weak_equivalent ?(max_states = 2000) ?compiler cfg p q =
+let weak_verdict ?(max_states = 2000) ?compiler cfg p q =
   let tp = explore_side ?compiler ~max_states cfg p
   and tq = explore_side ?compiler ~max_states cfg q in
-  if not (tp.Lts.complete && tq.Lts.complete) then false
+  if not (tp.Lts.complete && tq.Lts.complete) then None
   else begin
     let np = Array.length tp.Lts.states in
     let classes = weak_classes (combine tp tq) in
-    classes.(tp.Lts.initial) = classes.(tq.Lts.initial + np)
+    Some (classes.(tp.Lts.initial) = classes.(tq.Lts.initial + np))
   end
+
+let weak_equivalent ?max_states ?compiler cfg p q =
+  Option.value ~default:false (weak_verdict ?max_states ?compiler cfg p q)
 
 let equivalent ?(max_states = 2000) ?compiler cfg p q =
   let tp = explore_side ?compiler ~max_states cfg p

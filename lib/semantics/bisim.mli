@@ -64,4 +64,17 @@ val weak_equivalent :
 (** Observation equivalence on the bounded exploration: like
     {!equivalent} but abstracting from concealed communications — e.g.
     [chan a; (a!0 -> b!1 -> STOP)] is weakly, but not strongly,
-    equivalent to [b!1 -> STOP]. *)
+    equivalent to [b!1 -> STOP].  [false] also when either exploration
+    stops at [max_states] (default 2000): {!weak_verdict} tells the two
+    apart. *)
+
+val weak_verdict :
+  ?max_states:int ->
+  ?compiler:(Csp_lang.Process.t -> Compiled.t) ->
+  Step.config ->
+  Csp_lang.Process.t ->
+  Csp_lang.Process.t ->
+  bool option
+(** {!weak_equivalent}'s answer, or [None] when either side's
+    exploration stops at [max_states] and the check decides nothing.
+    [cspc refine --weak] prints [None] as unknown. *)

@@ -139,16 +139,20 @@ let admit_entry t (entry : Snapshot.entry) =
     List.iter
       (fun (root : Snapshot.compiled_root) ->
         (* a hand-edited (but digest-consistent) snapshot may name a
-           process the source does not define: skip it rather than die *)
+           process the source does not define, or an unguarded one
+           (an older server recorded those): skip it rather than die *)
         match Defs.lookup ctx.Jobs.file.Parser.defs root.Snapshot.process with
         | None -> ()
-        | Some _ ->
-          Jobs.record_compile ctx ~process:root.Snapshot.process
-            ~budget:root.Snapshot.budget ~nat_bound:root.Snapshot.nat_bound;
+        | Some _ -> (
           let eng = Jobs.engine ctx ~nat_bound:root.Snapshot.nat_bound in
-          ignore
-            (Engine.compile ?budget:root.Snapshot.budget eng
-               (Process.ref_ root.Snapshot.process)))
+          match
+            Engine.compile ?budget:root.Snapshot.budget eng
+              (Process.ref_ root.Snapshot.process)
+          with
+          | _ ->
+            Jobs.record_compile ctx ~process:root.Snapshot.process
+              ~budget:root.Snapshot.budget ~nat_bound:root.Snapshot.nat_bound
+          | exception Step.Unproductive _ -> ()))
       entry.Snapshot.compiled;
     if String.length entry.Snapshot.certs = 0 then Ok ()
     else

@@ -171,9 +171,12 @@ let build_file rel =
 
 let cli = build_file (Filename.concat "bin" "cspc.exe")
 
-(* [cspc args]: its stdout and exit code (stderr dropped). *)
-let run_cli args =
-  let cmd = Filename.quote_command cli args ^ " 2>/dev/null" in
+(* [cspc args]: its stdout and exit code (stderr dropped, or with
+   [~stderr:true] interleaved with stdout). *)
+let run_cli ?(stderr = false) args =
+  let cmd =
+    Filename.quote_command cli args ^ if stderr then " 2>&1" else " 2>/dev/null"
+  in
   let ic = Unix.open_process_in cmd in
   let buf = Buffer.create 4096 in
   let bytes = Bytes.create 4096 in
