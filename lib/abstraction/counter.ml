@@ -297,29 +297,30 @@ let explore ?(max_states = 4000) ?(bound = 2) ?(unfold_fuel = 64)
 
 (* The graph's subset automaton: its initial set, the visible events
    leaving a set, and the set one of them steps to.  Sets are sorted
-   and closed under hidden edges. *)
+   and closed under hidden edges; cut moves lead nowhere. *)
 let subsets (g : Dot.graph) =
-  let out = Array.make g.Dot.n_states [] in
-  for k = g.Dot.n_edges - 1 downto 0 do
-    out.(g.Dot.src.(k)) <- k :: out.(g.Dot.src.(k))
-  done;
-  let visible k = Bytes.get g.Dot.visible k <> '\000' in
   let along set f =
     List.sort_uniq Int.compare
-      (List.concat_map (fun s -> List.filter_map f out.(s)) set)
+      (List.concat_map
+         (fun s ->
+           List.filter_map
+             (fun p -> if g.Dot.tgt.(p) < g.Dot.n_states then f p else None)
+             (List.init g.Dot.row_len.(s) (fun i -> g.Dot.row_off.(s) + i)))
+         set)
   in
+  let visible p = Bytes.get g.Dot.visible p <> '\000' in
   let rec closure set =
     let set' =
       List.sort_uniq Int.compare
-        (set @ along set (fun k -> if visible k then None else Some g.Dot.tgt.(k)))
+        (set @ along set (fun p -> if visible p then None else Some g.Dot.tgt.(p)))
     in
     if List.compare_lengths set' set = 0 then set else closure set'
   in
-  let events set = along set (fun k -> if visible k then Some g.Dot.event.(k) else None) in
+  let events set = along set (fun p -> if visible p then Some g.Dot.event.(p) else None) in
   let step set e =
     closure
-      (along set (fun k ->
-           if visible k && g.Dot.event.(k) = e then Some g.Dot.tgt.(k) else None))
+      (along set (fun p ->
+           if visible p && g.Dot.event.(p) = e then Some g.Dot.tgt.(p) else None))
   in
   (closure [ g.Dot.initial ], events, step)
 
@@ -327,7 +328,7 @@ let accepts g =
   let init, events, step = subsets g in
   let rec go set = function
     | [] -> true
-    | _ :: _ when List.exists (fun s -> g.Dot.truncated.(s)) set ->
+    | _ :: _ when List.exists (Dot.truncated g) set ->
       (* the trace may continue through dropped transitions *)
       true
     | ev :: rest -> (

@@ -51,6 +51,9 @@ type t = {
       (* [leaf term id * width + position] -> its moves there *)
   w : Walk.t;
   mutable n_fallbacks : int;
+  mutable seen : int array;
+      (* event key -> the [Par] visit that last kept a move on it *)
+  mutable visits : int;  (* [Par] visits so far *)
 }
 
 let root t = t.root
@@ -235,13 +238,28 @@ let derive t memo s =
       else [])
     | Hide (h, k) -> if mem t h e then [] else syncs e k
   in
-  let add acc m = if listed m acc then acc else m :: acc in
+  (* A move can duplicate one kept at this level only if a kept move
+     has its event: [seen] stamps each event key with the visit that
+     last kept a move on it, so a move on an event new to the level is
+     kept without a scan.  Each level's sublevels are complete before
+     its first [add]. *)
+  let add visit acc ((e, _, _) as m : Walk.move) =
+    if t.seen.(e) = visit && listed m acc then acc
+    else begin
+      t.seen.(e) <- visit;
+      m :: acc
+    end
+  in
   (* [fold_right] over a list kept last first visits it first to last *)
   let rec moves = function
     | Leaf i -> leaf_moves t memo ~fuel i vecs.(off + i)
     | Par (x, y, l, r) ->
       let t1 = moves l in
       let t2 = moves r in
+      let n_keys = t.w.Walk.n_keys in
+      if n_keys > Array.length t.seen then t.seen <- Walk.grow t.seen n_keys 0;
+      t.visits <- t.visits + 1;
+      let add = add t.visits in
       let left =
         List.fold_right
           (fun ((e, visible, d1) as m : Walk.move) acc ->
@@ -339,6 +357,8 @@ let create cfg (root : Proc.t) =
       pos_moves = Array.make (16 * width) None;
       w = Walk.create ~count:states_compiled width;
       n_fallbacks = 0;
+      seen = Array.make 16 0;
+      visits = 0;
     }
   in
   Obs.Counter.add leaves_compiled width;
@@ -361,9 +381,7 @@ let compile ?(budget = 200_000) cfg p =
   (* the first [budget] states in discovery order get rows, their
      targets get ids; it records no transitions *)
   with_memo (fun memo ->
-      ignore
-        (Walk.walk t.w ~max_states:budget ~derive:(derive t memo)
-           ~edge:(fun _ _ _ -> ())));
+      ignore (Walk.explore_raw t.w ~max_states:budget ~derive:(derive t memo)));
   let ms = (Obs.now_ns () -. t0) /. 1e6 in
   Obs.Gauge.set compile_ms_gauge ms;
   Obs.Timer.observe_ns compile_timer (ms *. 1e6);

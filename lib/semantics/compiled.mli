@@ -30,11 +30,15 @@
       dropped at each [Par]; [Hide] relabelling).  Terms for states are
       built only when asked for ({!node}, {!process}, {!transitions_i}).
 
-    {!compile} is the walk's first run over an empty automaton,
-    recording no transitions; every later walk replays the tables
-    ({!Lts.explore}'s [?compiled] argument), byte-identical to the
-    interpreter (state numbering, transition order, truncation, DOT).
-    Everything runs on the calling domain.
+    {!compile} is the walk's first run over an empty automaton; it
+    appends rows in id order, so state ids are BFS discovery numbers,
+    and every later exploration ({!Lts.explore}'s [?compiled]
+    argument, {!explore_raw}) reads the tables in place,
+    byte-identical to the interpreter (state numbering, transition
+    order, truncation, DOT).  Only rows appended out of that order (a
+    runner walk, {!out_degree} on a state beyond the rows) make an
+    exploration renumber and copy them.  Everything runs on the
+    calling domain.
 
     {b Fallback contract}: states beyond the compile [budget] (or
     reached only under a larger [max_states] than the compile saw) get
@@ -135,6 +139,9 @@ type raw = Walk.raw = { graph : Dot.graph; state : int -> int }
 
 val explore_raw : ?max_states:int -> t -> raw
 (** {!Walk.explore_raw} over the automaton (default [max_states]
-    2000); [state] maps a state number to the id {!node} and
-    {!process} take.  Missing rows are appended as fallbacks.  Records
-    an ["explore-compiled"] span (cat [explore]). *)
+    2000): while its rows are in BFS order, the graph is the
+    automaton's own tables, read in place (valid while it grows), and
+    [state] is the identity; otherwise a renumbered copy.  [state]
+    maps a state number to the id {!node} and {!process} take.
+    Missing rows are appended as fallbacks.  Records an
+    ["explore-compiled"] span (cat [explore]). *)

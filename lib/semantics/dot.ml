@@ -5,11 +5,10 @@ type graph = {
   initial : int;
   n_states : int;
   complete : bool;
-  truncated : bool array;
   events : Event.t array;
   n_events : int;
-  n_edges : int;
-  src : int array;
+  row_off : int array;
+  row_len : int array;
   event : int array;
   tgt : int array;
   visible : Bytes.t;
@@ -48,87 +47,64 @@ let dot_id name =
   in
   if bare then name else "\"" ^ dot_escape name ^ "\""
 
-let rec add_nat buf n =
-  if n >= 10 then add_nat buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+let truncated g s =
+  let stop = g.row_off.(s) + g.row_len.(s) in
+  let rec go p = p < stop && (g.tgt.(p) >= g.n_states || go (p + 1)) in
+  go g.row_off.(s)
 
-(* The edges bucketed by source (a counting sort: source [s] owns
-   [keys.(row.(s))] .. [keys.(row.(s + 1) - 1)]), each encoded as the
-   int [(target * n_events + rank) * 2 + visible] and every row
-   sorted, so key order is output order.  Events are distinct, so
-   equal keys would print equal lines. *)
-let rows g rank =
-  let n = g.n_states and m = g.n_edges in
-  let row = Array.make (n + 1) 0 and keys = Array.make m 0 in
-  for k = 0 to m - 1 do
-    let s = g.src.(k) in
-    row.(s) <- row.(s) + 1
-  done;
-  for s = 1 to n - 1 do
-    row.(s) <- row.(s) + row.(s - 1)
-  done;
-  row.(n) <- m;
-  for k = m - 1 downto 0 do
-    let s = g.src.(k) in
-    let p = row.(s) - 1 in
-    row.(s) <- p;
-    keys.(p) <-
-      ((((g.tgt.(k) * g.n_events) + rank.(g.event.(k))) * 2)
-      + if Bytes.get g.visible k = '\000' then 0 else 1)
-  done;
-  (* [stable_sort] for its speed, not its stability (keys are
-     distinct): it insertion-sorts short runs, and rows are short — 1
-     to 12 edges on the benchmark catalogue, where it sorts every row
-     in about half the time [Array.sort] takes. *)
+(* Determinism needs no sorting: the first visible move of each event
+   in a row is remembered, and a later one to another target is a
+   second successor. *)
+let facts g =
+  let n = g.n_states in
+  let deterministic = ref true and deadlocks = ref 0 and cut = ref 0 in
+  let transitions = ref 0 in
+  (* per event id: the row of its last visible move, and that move's
+     target *)
+  let seen_src = Array.make g.n_events (-1) in
+  let seen_tgt = Array.make g.n_events 0 in
   for s = 0 to n - 1 do
-    let lo = row.(s) and len = row.(s + 1) - row.(s) in
-    if len > 1 then begin
-      let r = Array.sub keys lo len in
-      Array.stable_sort Int.compare r;
-      Array.blit r 0 keys lo len
+    let off = g.row_off.(s) and len = g.row_len.(s) in
+    if len = 0 then incr deadlocks
+    else begin
+      let dropped = ref false in
+      for p = off to off + len - 1 do
+        let t = g.tgt.(p) in
+        if t >= n then dropped := true
+        else begin
+          incr transitions;
+          if Bytes.get g.visible p <> '\000' then begin
+            let e = g.event.(p) in
+            if seen_src.(e) <> s then begin
+              seen_src.(e) <- s;
+              seen_tgt.(e) <- t
+            end
+            else if seen_tgt.(e) <> t then deterministic := false
+          end
+        end
+      done;
+      if !dropped then incr cut
     end
   done;
-  (row, keys)
-
-let facts_of g row keys =
-  let ne = g.n_events in
-  let deterministic = ref true and deadlocks = ref 0 and truncated = ref 0 in
-  (* the last visible edge of each event rank: its source and target *)
-  let seen_src = Array.make ne (-1) and seen_tgt = Array.make ne 0 in
-  for s = 0 to g.n_states - 1 do
-    if g.truncated.(s) then incr truncated
-    else if row.(s) = row.(s + 1) then incr deadlocks;
-    for p = row.(s) to row.(s + 1) - 1 do
-      let key = keys.(p) in
-      if key land 1 = 1 then begin
-        let r = (key lsr 1) mod ne and t = (key lsr 1) / ne in
-        if seen_src.(r) <> s then begin
-          seen_src.(r) <- s;
-          seen_tgt.(r) <- t
-        end
-        else if seen_tgt.(r) <> t then deterministic := false
-      end
-    done
-  done;
   {
-    states = g.n_states;
-    transitions = g.n_edges;
+    states = n;
+    transitions = !transitions;
     complete = g.complete;
     deterministic = !deterministic;
     deadlocks = !deadlocks;
-    truncated_states = !truncated;
+    truncated_states = !cut;
   }
 
-let of_transitions ~initial ~n_states ~complete ~truncated ~n_edges:m iter =
-  let src = Array.make m 0 and event = Array.make m 0 in
-  let tgt = Array.make m 0 and visible = Bytes.make m '\000' in
+let of_transitions ~initial ~n_states:n ~complete ~truncated ~n_edges:m iter =
+  let src = Array.make m 0 and ev = Array.make m 0 in
+  let tg = Array.make m 0 and vis = Bytes.make m '\000' in
   let ids = Event.Tbl.create 16 and events = ref [] and n_events = ref 0 in
   let k = ref 0 in
   iter (fun s e v t ->
       src.(!k) <- s;
-      tgt.(!k) <- t;
-      if v then Bytes.set visible !k '\001';
-      event.(!k) <-
+      tg.(!k) <- t;
+      if v then Bytes.set vis !k '\001';
+      ev.(!k) <-
         (match Event.Tbl.find_opt ids e with
         | Some i -> i
         | None ->
@@ -138,23 +114,79 @@ let of_transitions ~initial ~n_states ~complete ~truncated ~n_edges:m iter =
           n_events := i + 1;
           i);
       incr k);
+  (* rows by counting sort, each truncated one a slot longer: that
+     last slot keeps the target [n], the cut move *)
+  let row_len = Array.make n 0 in
+  Array.iter (fun s -> row_len.(s) <- row_len.(s) + 1) src;
+  Array.iteri (fun s cut -> if cut then row_len.(s) <- row_len.(s) + 1) truncated;
+  let row_off = Array.make n 0 in
+  for s = 1 to n - 1 do
+    row_off.(s) <- row_off.(s - 1) + row_len.(s - 1)
+  done;
+  let size = if n = 0 then 0 else row_off.(n - 1) + row_len.(n - 1) in
+  let event = Array.make size 0 and tgt = Array.make size n in
+  let visible = Bytes.make size '\000' in
+  let next = Array.copy row_off in
+  for k = 0 to m - 1 do
+    let s = src.(k) in
+    let p = next.(s) in
+    next.(s) <- p + 1;
+    event.(p) <- ev.(k);
+    tgt.(p) <- tg.(k);
+    Bytes.set visible p (Bytes.get vis k)
+  done;
   {
     initial;
-    n_states;
+    n_states = n;
     complete;
-    truncated;
     events = Array.of_list (List.rev !events);
     n_events = !n_events;
-    n_edges = m;
-    src;
+    row_off;
+    row_len;
     event;
     tgt;
     visible;
   }
 
+(* [n]'s decimal digits written at [b.[pos ..]]; returns the position
+   after them. *)
+let put_nat b pos n =
+  let stop = ref (pos + 1) and m = ref (n / 10) in
+  while !m > 0 do
+    m := !m / 10;
+    incr stop
+  done;
+  let m = ref n in
+  for i = !stop - 1 downto pos do
+    Bytes.unsafe_set b i (Char.unsafe_chr (Char.code '0' + (!m mod 10)));
+    m := !m / 10
+  done;
+  !stop
+
+(* Sorts [a.(0 .. k - 1)].  Rows are short (1 to 12 moves on the
+   benchmark catalogue) and come nearly sorted from a walk, which
+   insertion sort takes in place in about linear time; a longer row
+   is sorted in a copy, so it stays O(k log k). *)
+let sort_prefix (a : int array) k =
+  if k <= 16 then
+    for i = 1 to k - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let r = Array.sub a 0 k in
+    Array.sort Int.compare r;
+    Array.blit r 0 a 0 k
+  end
+
 (* Every byte goes through [escape], which acts on each byte alone:
-   the literal pieces are escaped once per call and each label once
-   per rank, and the digits of node numbers are never rewritten. *)
+   the literal pieces and each edge suffix are escaped once per call,
+   and the digits of node numbers are never rewritten. *)
 let write ~escape ?(name = "lts") ?(header = "") ?status buf g =
   Obs.span ~cat:"export" "to_dot"
     ~args:(fun () -> [ ("states", Obs.Int g.n_states) ])
@@ -166,62 +198,101 @@ let write ~escape ?(name = "lts") ?(header = "") ?status buf g =
   Array.sort (fun a b -> Event.compare g.events.(a) g.events.(b)) ids;
   let rank = Array.make ne 0 in
   Array.iteri (fun r id -> rank.(id) <- r) ids;
-  let row, keys = rows g rank in
-  let status =
-    match status with Some f -> f (facts_of g row keys) | None -> ""
-  in
-  let node = escape "  n" in
-  let add_node buf i attrs =
-    Buffer.add_string buf node;
-    add_nat buf i;
-    Buffer.add_string buf attrs
-  in
+  let status = match status with Some f -> f (facts g) | None -> "" in
   Buffer.add_string buf (escape header);
   Buffer.add_string buf (escape status);
   Buffer.add_string buf
     (escape ("digraph " ^ dot_id name ^ " {\n  rankdir=LR;\n"));
-  add_node buf g.initial (escape " [style=bold];\n");
-  let dead s = row.(s) = row.(s + 1) && not g.truncated.(s) in
+  (* [line] holds [escape "  n"], then a node number, then for an edge
+     [escape " -> n"] and the target's number *)
+  let node = escape "  n" and arrow = escape " -> n" in
+  let nl = String.length node and al = String.length arrow in
+  let line = Bytes.create (nl + al + 48) in
+  Bytes.blit_string node 0 line 0 nl;
+  let add_node s attrs =
+    Buffer.add_subbytes buf line 0 (put_nat line nl s);
+    Buffer.add_string buf attrs
+  in
+  add_node g.initial (escape " [style=bold];\n");
+  (* per state: '\001' dead (an empty row), '\002' truncated *)
+  let kind = Bytes.make n '\000' in
+  for s = 0 to n - 1 do
+    if g.row_len.(s) = 0 then Bytes.set kind s '\001'
+    else if truncated g s then Bytes.set kind s '\002'
+  done;
   let doubled = escape " [shape=doublecircle];\n" in
   for s = 0 to n - 1 do
-    if dead s then add_node buf s doubled
+    if Bytes.get kind s = '\001' then add_node s doubled
   done;
   (* truncated states are drawn dashed: their outgoing edges were cut
      at the state bound, so the picture under-reports their moves *)
   let dashed = escape " [shape=circle, style=dashed];\n" in
   for s = 0 to n - 1 do
-    if g.truncated.(s) then add_node buf s dashed
+    if Bytes.get kind s = '\002' then add_node s dashed
   done;
   let circle = escape " [shape=circle];\n" in
   for s = 0 to n - 1 do
-    if (not (dead s)) && (not g.truncated.(s)) && s <> g.initial then
-      add_node buf s circle
+    if Bytes.get kind s = '\000' && s <> g.initial then add_node s circle
   done;
-  let arrow = escape " -> n" and label = escape " [label=\"" in
-  let visible = escape "\"];\n" and hidden = escape "\", style=dashed];\n" in
-  (* each label escaped on first use, by rank *)
-  let labels = Array.make ne "" in
+  (* an edge's key is [(target, rank, visible)] packed into one int,
+     so a row sorts as ints and the key's low bits index its
+     suffix *)
+  let shift =
+    let rec bits b = if 1 lsl b >= 2 * ne then b else bits (b + 1) in
+    bits 1
+  in
+  let mask = (1 lsl shift) - 1 in
+  (* each suffix escaped on first use *)
+  let suffixes = Array.make (2 * ne) "" in
+  let suffix x =
+    if String.length suffixes.(x) = 0 then
+      suffixes.(x) <-
+        escape
+          (" [label=\""
+          ^ dot_escape (Event.to_string g.events.(ids.(x lsr 1)))
+          ^ if x land 1 = 1 then "\"];\n" else "\", style=dashed];\n");
+    suffixes.(x)
+  in
+  let keys = ref (Array.make 16 0) in
   for s = 0 to n - 1 do
-    for p = row.(s) to row.(s + 1) - 1 do
-      let key = keys.(p) in
-      let r = (key lsr 1) mod ne in
-      if String.length labels.(r) = 0 then
-        labels.(r) <- escape (dot_escape (Event.to_string g.events.(ids.(r))));
-      add_node buf s arrow;
-      add_nat buf ((key lsr 1) / ne);
-      Buffer.add_string buf label;
-      Buffer.add_string buf labels.(r);
-      Buffer.add_string buf (if key land 1 = 1 then visible else hidden)
-    done
+    let off = g.row_off.(s) and len = g.row_len.(s) in
+    if len > Array.length !keys then
+      keys := Array.make (max len (2 * Array.length !keys)) 0;
+    let ks = !keys and k = ref 0 in
+    for p = off to off + len - 1 do
+      let t = g.tgt.(p) in
+      if t < n then begin
+        ks.(!k) <-
+          (t lsl shift)
+          lor (rank.(g.event.(p)) lsl 1)
+          lor if Bytes.get g.visible p = '\000' then 0 else 1;
+        incr k
+      end
+    done;
+    if !k > 0 then begin
+      sort_prefix ks !k;
+      let pre = put_nat line nl s in
+      Bytes.blit_string arrow 0 line pre al;
+      let pre = pre + al in
+      for i = 0 to !k - 1 do
+        let key = ks.(i) in
+        Buffer.add_subbytes buf line 0 (put_nat line pre (key lsr shift));
+        Buffer.add_string buf (suffix (key land mask))
+      done
+    end
   done;
   Buffer.add_string buf (escape "}\n")
 
 let render ?name ?(header = "") ?status g =
   (* sized for the header and typical node and edge lines, so large
      graphs render without the buffer's doubling copies *)
+  let moves = ref 0 in
+  for s = 0 to g.n_states - 1 do
+    moves := !moves + g.row_len.(s)
+  done;
   let buf =
     Buffer.create
-      (String.length header + (48 * g.n_edges) + (32 * g.n_states) + 128)
+      (String.length header + (48 * !moves) + (32 * g.n_states) + 128)
   in
   write ~escape:Fun.id ?name ~header ?status buf g;
   Buffer.contents buf

@@ -134,26 +134,39 @@ let explore_interpreted ~max_states cfg p =
     truncated;
   }
 
-(* A compiled automaton's raw exploration carries the same fields in
-   the same discovery order; packaging it is projection only. *)
+(* A compiled automaton's raw exploration carries the same rows in the
+   same discovery order; packaging it drops the cut moves and marks
+   their sources truncated. *)
 let of_raw c (r : Compiled.raw) =
   let g = r.Compiled.graph in
+  let n = g.Dot.n_states in
+  let transitions = ref [] and n_transitions = ref 0 in
+  let truncated = Array.make n false in
+  for s = n - 1 downto 0 do
+    let off = g.Dot.row_off.(s) in
+    for p = off + g.Dot.row_len.(s) - 1 downto off do
+      let target = g.Dot.tgt.(p) in
+      if target >= n then truncated.(s) <- true
+      else begin
+        transitions :=
+          {
+            source = s;
+            event = g.Dot.events.(g.Dot.event.(p));
+            visible = Bytes.get g.Dot.visible p <> '\000';
+            target;
+          }
+          :: !transitions;
+        incr n_transitions
+      end
+    done
+  done;
   {
     initial = g.Dot.initial;
-    states =
-      Array.init g.Dot.n_states (fun i ->
-          Compiled.process c (r.Compiled.state i));
-    transitions =
-      List.init g.Dot.n_edges (fun k ->
-          {
-            source = g.Dot.src.(k);
-            event = g.Dot.events.(g.Dot.event.(k));
-            visible = Bytes.get g.Dot.visible k <> '\000';
-            target = g.Dot.tgt.(k);
-          });
+    states = Array.init n (fun i -> Compiled.process c (r.Compiled.state i));
+    transitions = !transitions;
     complete = g.Dot.complete;
-    n_transitions = g.Dot.n_edges;
-    truncated = g.Dot.truncated;
+    n_transitions = !n_transitions;
+    truncated;
   }
 
 let explore ?(max_states = 2000) ?pool ?compiled cfg p =

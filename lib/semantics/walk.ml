@@ -14,6 +14,10 @@ type t = {
   mutable slots : int array;  (* state ids by vector hash; -1 is free *)
   mutable row_off : int array;
   mutable row_len : int array;
+  mutable bfs_rows : int;
+      (* states [0, bfs_rows) have rows, appended in that order, and
+         no other state has one; -1 once a row was appended out of
+         that order *)
   mutable pk_event : int array;
   mutable pk_target : int array;
   mutable pk_visible : Bytes.t;
@@ -49,6 +53,7 @@ let create ?count width =
     slots = Array.make 128 (-1);
     row_off = Array.make 64 (-1);
     row_len = Array.make 64 0;
+    bfs_rows = 0;
     pk_event = Array.make 256 0;
     pk_target = Array.make 256 0;
     pk_visible = Bytes.make 256 '\000';
@@ -204,6 +209,7 @@ let ensure_pool t n =
    event/visibility/target go into parallel pools so the row is three
    cache-friendly int walks at query time. *)
 let append_row t s rev_row =
+  t.bfs_rows <- (if s = t.bfs_rows then s + 1 else -1);
   let len = List.length rev_row in
   ensure_pool t (t.pk_len + len);
   t.row_off.(s) <- t.pk_len;
@@ -220,98 +226,126 @@ let append_row t s rev_row =
 
 (* ---- the exploration loop -------------------------------------------- *)
 
-(* The FIFO is [order] itself (query number -> state id, filled in
-   discovery order) and [visited] is its inverse; both are dense int
-   arrays.  Row ids and query numbers differ only when rows were
-   appended out of BFS order (a runner walk between compile and
-   explore), which is why the walk keeps its own numbering. *)
-let walk t ~max_states ~derive ~edge =
-  let visited = ref (Array.make (max 64 t.n_states) (-1)) in
-  let order = ref (Array.make 64 0) in
-  let n_q = ref 0 in
-  let qintern s =
-    let i = !n_q in
-    (!visited).(s) <- i;
-    if i >= Array.length !order then order := grow !order (i + 1) 0;
-    (!order).(i) <- s;
-    n_q := i + 1;
-    i
-  in
-  let complete = ref true in
-  let truncated_ids = ref [] in
-  ignore (qintern 0);
-  let i = ref 0 in
-  while !i < !n_q do
-    (* every 16th row is where a sliced job may pause (see [Coop]): a
-       clock read on every row cost a warm philosophers-5 reply 4% *)
-    if !i land 15 = 0 then Csp_parallel.Coop.yield ();
-    let s = (!order).(!i) in
-    if t.row_off.(s) < 0 then append_row t s (derive s);
-    if t.n_states > Array.length !visited then
-      visited := grow !visited t.n_states (-1);
-    let v = !visited in
-    let dropped = ref false in
-    let off = t.row_off.(s) in
-    for k = off to off + t.row_len.(s) - 1 do
-      let s' = t.pk_target.(k) in
-      if v.(s') >= 0 then edge !i k v.(s')
-      else if !n_q < max_states then edge !i k (qintern s')
-      else begin
-        (* the target is cut at the bound: the source keeps an
-           unrecorded way out and must not read as a deadlock *)
-        complete := false;
-        dropped := true
-      end
-    done;
-    if !dropped then truncated_ids := !i :: !truncated_ids;
-    incr i
-  done;
-  (!n_q, !order, !complete, !truncated_ids)
+let renumbered = Obs.Counter.make "explore.renumbered"
 
 type raw = { graph : Dot.graph; state : int -> int }
 
-(* The recorded edges go straight into flat arrays, in walk order
-   (grouped by ascending source); the event table is the walk's own,
-   read after the walk so rows it appended are covered. *)
-let explore_raw t ~max_states ~derive =
-  (* sized for a replay of the whole table; a longer walk doubles *)
-  let cap = max 64 (min t.pk_len (8 * max_states)) in
-  let src = ref (Array.make cap 0)
-  and event = ref (Array.make cap 0)
-  and tgt = ref (Array.make cap 0)
-  and visible = ref (Bytes.make cap '\000') in
-  let m = ref 0 in
-  let n_q, order, complete, truncated_ids =
-    walk t ~max_states ~derive ~edge:(fun i k j ->
-        let e = !m in
-        if e >= Array.length !src then begin
-          src := grow !src (e + 1) 0;
-          event := grow !event (e + 1) 0;
-          tgt := grow !tgt (e + 1) 0;
-          visible := Bytes.extend !visible 0 (Array.length !src - e)
-        end;
-        (!src).(e) <- i;
-        (!event).(e) <- t.pk_event.(k);
-        (!tgt).(e) <- j;
-        Bytes.set !visible e (Bytes.get t.pk_visible k);
-        m := e + 1)
-  in
-  let truncated = Array.make n_q false in
-  List.iter (fun i -> truncated.(i) <- true) truncated_ids;
+(* While rows were appended in id order, ids are BFS discovery
+   numbers: each state's id was given when the lowest-numbered row
+   that names it was appended, which is when a FIFO walk from state 0
+   meets it first.  A walk bounded at [max_states] then numbers the
+   states [0, n) with [n = max 1 (min max_states n_states)], and a
+   move of theirs to a state not below [n] is cut.  Only the missing
+   rows of those states are derived, in id order; rows are read where
+   they are. *)
+let in_place t ~max_states ~derive =
+  let s = ref t.bfs_rows in
+  while !s < max 1 (min max_states t.n_states) do
+    (* every 16th row is where a sliced job may pause (see [Coop]): a
+       clock read on every row cost a warm philosophers-5 reply 4% *)
+    if !s land 15 = 0 then Csp_parallel.Coop.yield ();
+    append_row t !s (derive !s);
+    incr s
+  done;
+  let n = max 1 (min max_states t.n_states) in
   {
     graph =
       {
         Dot.initial = 0;
-        n_states = n_q;
-        complete;
-        truncated;
+        n_states = n;
+        (* every state not below [n] was first met in a row of one
+           below it: a cut move *)
+        complete = n = t.n_states;
         events = t.events;
         n_events = t.n_events;
-        n_edges = !m;
-        src = !src;
-        event = !event;
-        tgt = !tgt;
-        visible = !visible;
+        row_off = t.row_off;
+        row_len = t.row_len;
+        event = t.pk_event;
+        tgt = t.pk_target;
+        visible = t.pk_visible;
+      };
+    state = Fun.id;
+  }
+
+(* Rows appended out of id order (a runner walk between compile and
+   explore) leave ids that are not BFS numbers.  The FIFO walk then
+   numbers states itself: [order] is both its queue (number -> state
+   id, filled in discovery order) and its result, [number] the
+   inverse; both are dense int arrays.  It appends the rows of the
+   states it numbers that have none. *)
+let walk t ~max_states ~derive =
+  let number = ref (Array.make (max 64 t.n_states) (-1)) in
+  let order = ref (Array.make 64 0) in
+  let n_q = ref 0 in
+  let qintern s =
+    let i = !n_q in
+    (!number).(s) <- i;
+    if i >= Array.length !order then order := grow !order (i + 1) 0;
+    (!order).(i) <- s;
+    n_q := i + 1
+  in
+  qintern 0;
+  let i = ref 0 in
+  while !i < !n_q do
+    (* a pause point, as in [in_place] *)
+    if !i land 15 = 0 then Csp_parallel.Coop.yield ();
+    let s = (!order).(!i) in
+    if t.row_off.(s) < 0 then append_row t s (derive s);
+    if t.n_states > Array.length !number then
+      number := grow !number t.n_states (-1);
+    let v = !number in
+    let off = t.row_off.(s) in
+    for k = off to off + t.row_len.(s) - 1 do
+      let s' = t.pk_target.(k) in
+      if v.(s') < 0 && !n_q < max_states then qintern s'
+    done;
+    incr i
+  done;
+  (!n_q, !order, !number)
+
+(* The walk's rows copied under its numbering, in its order: a target
+   it did not number was cut, and becomes [n]. *)
+let renumber t ~max_states ~derive =
+  let n, order, number = walk t ~max_states ~derive in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    m := !m + t.row_len.(order.(i))
+  done;
+  let row_off = Array.make n 0 and row_len = Array.make n 0 in
+  let event = Array.make !m 0 and tgt = Array.make !m 0 in
+  let visible = Bytes.make !m '\000' in
+  let complete = ref true and e = ref 0 in
+  for i = 0 to n - 1 do
+    let s = order.(i) in
+    row_off.(i) <- !e;
+    row_len.(i) <- t.row_len.(s);
+    for k = t.row_off.(s) to t.row_off.(s) + t.row_len.(s) - 1 do
+      let j = number.(t.pk_target.(k)) in
+      if j < 0 then complete := false;
+      tgt.(!e) <- (if j < 0 then n else j);
+      event.(!e) <- t.pk_event.(k);
+      Bytes.set visible !e (Bytes.get t.pk_visible k);
+      incr e
+    done
+  done;
+  Obs.Counter.add renumbered n;
+  {
+    graph =
+      {
+        Dot.initial = 0;
+        n_states = n;
+        complete = !complete;
+        events = t.events;
+        n_events = t.n_events;
+        row_off;
+        row_len;
+        event;
+        tgt;
+        visible;
       };
     state = (fun i -> order.(i));
   }
+
+let explore_raw t ~max_states ~derive =
+  if t.bfs_rows >= 0 then in_place t ~max_states ~derive
+  else renumber t ~max_states ~derive

@@ -7,6 +7,8 @@
     packed into one shared pool (CSR layout: [row_off]/[row_len] slice
     [pk_event]/[pk_target]/[pk_visible]); [row_off.(s) = -1] marks a
     row not derived yet.  All arrays are amortised-doubling growable.
+    This is {!Dot.graph}'s layout, so a graph can be the pools
+    themselves.
 
     The walk knows nothing of what a position holds.  A client
     supplies the row {e derivation}: the moves of a state, read off its
@@ -34,6 +36,11 @@ type t = private {
   mutable slots : int array;
   mutable row_off : int array;
   mutable row_len : int array;
+  mutable bfs_rows : int;
+      (** states [\[0, bfs_rows)] have rows, appended in that order,
+          and no other state has one; [-1] once a row was appended
+          out of that order.  While it is not [-1], state ids are BFS
+          discovery numbers from state 0. *)
   mutable pk_event : int array;  (** per move: its id in [events] *)
   mutable pk_target : int array;
   mutable pk_visible : Bytes.t;  (** per move: ['\001'] visible *)
@@ -64,33 +71,34 @@ val append_row : t -> int -> move list -> unit
 (** [append_row t s moves] packs state [s]'s row from its moves, listed
     last first, giving new targets fresh ids. *)
 
-val walk :
-  t ->
-  max_states:int ->
-  derive:(int -> move list) ->
-  edge:(int -> int -> int -> unit) ->
-  int * int array * bool * int list
-(** The exploration loop: a FIFO walk from state 0 in BFS discovery
-    order that numbers states [0, 1, ...] as it first meets them and
-    appends the row [derive s] (moves last first) of every state [s] it
-    reaches without one.  [edge i k j] sees each recorded transition:
-    source and target numbers and the packed slot [k], in row order.
-    The root is always numbered; a target not numbered yet when
-    [max_states] states are is dropped, and its source is truncated.
-    Returns the number of states, the numbered state ids in order,
-    whether nothing was dropped, and the truncated sources.  Every
-    16th row is a {!Csp_parallel.Coop.yield} point: under a serve
-    slice the walk may pause there, between rows. *)
-
 type raw = {
   graph : Dot.graph;
-      (** the recorded system: states in BFS discovery order, edges in
-          discovery order, the walk's event table *)
+      (** the recorded system: states in BFS discovery order, each row
+          in derivation order, the walk's event table *)
   state : int -> int;  (** state number -> the table's state id *)
 }
 
 val explore_raw : t -> max_states:int -> derive:(int -> move list) -> raw
-(** {!walk}, recording its edges into flat arrays. *)
+(** The exploration loop: a FIFO walk from state 0 in BFS discovery
+    order that numbers states [0, 1, ...] as it first meets them and
+    appends the row [derive s] (moves last first) of every state [s] it
+    reaches without one.  The root is always numbered; a target not
+    numbered yet when [max_states] states are is cut, and its source is
+    truncated.
+
+    While [bfs_rows] is not [-1] the ids are already those numbers: the
+    walk derives only the missing rows of the first [max_states]
+    states, in id order, and the graph is the table's own pools, read
+    in place ([state] is the identity; nothing is copied, and a table
+    with those rows walks no further).  Otherwise the walk numbers the
+    states itself and copies their rows under its numbering into fresh
+    arrays, adding the state count to the [explore.renumbered]
+    counter.  Every 16th row derived or numbered is a
+    {!Csp_parallel.Coop.yield} point: under a serve slice the walk may
+    pause there, between rows.
+
+    A graph read in place stays valid while the table grows: rows are
+    never rewritten, and a growing pool is copied, not changed. *)
 
 val grow : 'a array -> int -> 'a -> 'a array
 (** [grow a len fill]: a copy of [a] at least [len] long and at least

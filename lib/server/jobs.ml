@@ -57,7 +57,11 @@ let admit_proofs ctx proofs =
 
 let find_process ctx name =
   match Defs.lookup ctx.file.Parser.defs name with
-  | Some _ -> Ok (Process.ref_ name)
+  | Some { Defs.param = None; _ } -> Ok (Process.ref_ name)
+  | Some { Defs.param = Some _; _ } ->
+    Error
+      (Printf.sprintf "process %s is a process array and needs a subscript"
+         name)
   | None -> Error (Printf.sprintf "process %s is not defined" name)
 
 let ( let* ) = Result.bind
@@ -167,7 +171,7 @@ let graph_abstract ~model ~n ~max_states =
   Printf.bprintf buf
     "%d abstract states, %d transitions%s; %d omega collapse(s); %d local \
      state(s) in legend\n"
-    g.Dot.n_states g.Dot.n_edges
+    g.Dot.n_states (Dot.facts g).Dot.transitions
     (if g.Dot.complete then "" else " (truncated)")
     r.Counter.omega_collapses
     (List.length r.Counter.legend);

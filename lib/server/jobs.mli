@@ -40,7 +40,9 @@ val engine : ctx -> nat_bound:int -> Engine.t
     created on first use. *)
 
 val find_process : ctx -> string -> (Process.t, string) result
-(** A reference to a defined process; [Error] names an undefined one. *)
+(** A reference to a defined process; [Error] names an undefined one,
+    or a process array named without a subscript.  The CLI dies with
+    that message (exit 1), and [cspc serve] answers [bad-request]. *)
 
 val unguarded : string -> string
 (** The error a job answers when a definition is unguarded
@@ -67,12 +69,13 @@ val graph :
   compiled:bool ->
   (outcome, string) result
 (** One status line ({!status_line}), then the DOT text.  [Error]
-    when [process] is not defined or is unguarded (the CLI dies with
-    the same message on stderr).  The CLI and the server pass
-    [compiled:true]: the exploration replays the engine's cached
-    automaton and {!Dot.render} writes the reply from the recorded
-    edge arrays, with no transition list, state array or [Lts.t] in
-    between.
+    when [process] is not defined, is a process array or is unguarded
+    (the CLI dies with the same message on stderr).  The CLI and the
+    server pass [compiled:true]: the exploration reads the engine's
+    cached automaton, whose rows are BFS-numbered, in place (a cold
+    call walks once, in the compile; a warm one derives nothing), and
+    {!Dot.render} writes the reply from those rows, with no transition
+    list, state array, edge copy or [Lts.t] in between.
     [compiled:false] is the reference: it explores without the
     automaton (the interpreted loop on one domain), takes the status
     facts from {!Lts.is_deterministic}, {!Lts.deadlock_states} and
@@ -86,11 +89,13 @@ val graph_writer :
   nat_bound:int ->
   (escape:(string -> string) -> Buffer.t -> unit, string) result
 (** [graph ~compiled:true] with its render left to the caller: the
-    replay runs now, and the writer appends [escape] of that call's
-    [output] to a buffer through {!Dot.write}.  [cspc serve] writes a
-    [graph] reply's output this way, JSON-escaped straight into the
-    connection's output buffer.  Each call replays once and the
-    writer renders that replay; nothing is cached between replies. *)
+    exploration runs now, and the writer appends [escape] of that
+    call's [output] to a buffer through {!Dot.write}, reading the
+    automaton's rows in place.  [cspc serve] writes a [graph] reply's
+    output this way, JSON-escaped straight into the connection's
+    output buffer.  No reply is cached: each call explores (on a warm
+    automaton, a bounds check) and its writer renders that
+    exploration. *)
 
 val status_line : Dot.facts -> string
 (** [cspc graph]'s first line: state and transition counts, the

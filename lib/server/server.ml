@@ -424,11 +424,14 @@ let answer t buf (id, op, req) =
     Json.to_buffer buf
       (Protocol.error_response ~id Protocol.Internal (Printexc.to_string e))
 
+let handle_into t buf line =
+  match request_of_line line with
+  | Error resp -> Json.to_buffer buf resp
+  | Ok r -> answer t buf r
+
 let handle_line t line =
   let buf = Buffer.create 256 in
-  (match request_of_line line with
-  | Error resp -> Json.to_buffer buf resp
-  | Ok r -> answer t buf r);
+  handle_into t buf line;
   Buffer.contents buf
 
 (* ---- the socket loop --------------------------------------------------- *)

@@ -98,6 +98,12 @@ val handle_line : t -> string -> string
     persistence tests drive the full protocol through this without a
     socket. *)
 
+val handle_into : t -> Buffer.t -> string -> unit
+(** {!handle_line} appending the response frame to a buffer the caller
+    keeps, as the socket loop appends it to a connection's output
+    buffer: a reused buffer with room for the reply takes it without
+    growing. *)
+
 val source_count : t -> int
 (** Cached source contexts (for tests and the [stats] op). *)
 

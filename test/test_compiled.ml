@@ -631,6 +631,49 @@ let test_vector_truncation_and_fallback () =
   Alcotest.(check bool) "rows materialised by the replay" true
     (Compiled.fallbacks c > 0)
 
+(* Rows a runner walk appends between compile and explore come out of
+   BFS order, so their ids are not the replay's state numbers: the
+   replay renumbers them (the [explore.renumbered] counter moves), and
+   its reply is still the interpreter's, cut at the bound or not. *)
+let test_rows_out_of_order () =
+  let renumbered () = Obs.Counter.get (Obs.Counter.make "explore.renumbered") in
+  let ph = Paper.Philosophers.make ~n:5 () in
+  let chain_defs, chain = Paper.Copier.chain_defs 8 in
+  List.iter
+    (fun (model, defs, p, bounds) ->
+      let eng = Engine.create ~nat_bound:2 defs in
+      let c = Compiled.compile ~budget:5 (Engine.step_config eng) p in
+      for seed = 1 to 4 do
+        ignore (Csp_sim.Runner.run_engine ~seed ~max_steps:300 ~compiled:c eng p)
+      done;
+      Alcotest.(check bool) (model ^ ": rows appended by the runs") true
+        (Compiled.n_rows c > 5);
+      List.iter
+        (fun max_states ->
+          let before = renumbered () in
+          let reference =
+            Lts.explore ~max_states
+              (Step.config ~sampler:(Sampler.nat_bound 2) defs)
+              p
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %d states: the interpreter's reply" model
+               max_states)
+            (interpreted_reply reference)
+            (compiled_reply ~max_states c);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at %d states: renumbered" model max_states)
+            true
+            (renumbered () > before))
+        bounds)
+    [
+      ( "philosophers-5",
+        ph.Paper.Philosophers.defs,
+        ph.Paper.Philosophers.network,
+        [ 200; 2000 ] );
+      ("copier-chain-8", chain_defs, chain, [ 3000; 10_000 ]);
+    ]
+
 (* State 0 of a root reference is derived with the fuel left below the
    reference: an alias chain one shorter than [unfold_fuel]
    ([a1] = [a2] = ... = [a24], then [a25]'s body) runs out there as a
@@ -715,6 +758,8 @@ let () =
             test_multiplier_network_leaf;
           Alcotest.test_case "truncation and fallback rows" `Quick
             test_vector_truncation_and_fallback;
+          Alcotest.test_case "rows out of BFS order" `Quick
+            test_rows_out_of_order;
           Alcotest.test_case "root reference fuel" `Quick test_root_fuel;
         ] );
     ]

@@ -283,6 +283,53 @@ let test_unguarded () =
       [ "traces"; path; "-p"; "Q" ];
     ]
 
+(* Naming a process array without a subscript is bad input on both
+   surfaces too: serve answers [bad-request] naming the array, and the
+   CLI prints the same message and exits 1. *)
+let test_array_name () =
+  let t = fresh_server () in
+  let window_example =
+    slurp (Test_support.build_file "examples/sliding_window.csp")
+  in
+  List.iter
+    (fun (file, source, array, other) ->
+      let message =
+        Printf.sprintf "process %s is a process array and needs a subscript"
+          array
+      in
+      List.iter
+        (fun (label, op, kvs) ->
+          let label = Printf.sprintf "%s %s" array label in
+          let resp = response t (req op (src source :: kvs)) in
+          check_string (label ^ ": kind") "bad-request" (error_kind resp);
+          check_string (label ^ ": message") message
+            (Option.value ~default:"" (Json.mem_str "error" resp)))
+        [
+          ("graph", "graph", [ ("process", Json.str array) ]);
+          ( "refine impl",
+            "refine",
+            [ ("impl", Json.str array); ("spec", Json.str other) ] );
+          ( "refine spec",
+            "refine",
+            [ ("impl", Json.str other); ("spec", Json.str array) ] );
+        ];
+      let path = Test_support.build_file file in
+      List.iter
+        (fun args ->
+          let label = String.concat " " (List.hd args :: List.tl (List.tl args)) in
+          let out, code = run_cli ~stderr:true args in
+          check_string (label ^ ": message") (message ^ "\n") out;
+          check_int (label ^ ": exit") 1 code)
+        [
+          [ "refine"; path; "-p"; array; "-s"; other ];
+          [ "graph"; path; "-p"; array ];
+          [ "traces"; path; "-p"; array; "-d"; "2" ];
+        ])
+    [
+      ("examples/protocol.csp", protocol_source, "q", "sender");
+      ("examples/sliding_window.csp", window_example, "pending", "sender");
+    ]
+
 (* A weak check that stops at its 2000-state bound decides nothing: it
    reads unknown, not false.  copier-chain-8 has 65 537 states at nat 3
    and 257 at nat 1. *)
@@ -1169,6 +1216,40 @@ let test_frames_reused_buffer () =
       | `Partial | `Eof | `Too_large -> Alcotest.failf "%s: no reply" label)
     idle
 
+(* A warm graph reply reads the cached automaton's rows in place and
+   renders them straight into the connection's buffer: the second warm
+   copier-chain-7 reply on a reused buffer allocates less than half
+   its frame's bytes.  A copy of the rows or a scratch buffer per
+   reply would each cost about as much as the frame. *)
+let test_frames_warm_allocation () =
+  let chain7 =
+    let defs, chain = Csp.Paper.Copier.chain_defs 7 in
+    Csp_syntax.Printer.defs (Csp.Defs.define "chain" chain defs)
+  in
+  let request, expected =
+    graph_case ~max_states:20_000 ~nat:3 chain7 "chain"
+  in
+  let line = Json.to_string request in
+  let t = fresh_server () in
+  let buf = Buffer.create 4096 in
+  let reply () =
+    Buffer.clear buf;
+    Server.handle_into t buf line
+  in
+  (* the first reply compiles, the second is the first warm one *)
+  reply ();
+  reply ();
+  let before = Gc.allocated_bytes () in
+  reply ();
+  let allocated = Gc.allocated_bytes () -. before in
+  let frame = Buffer.contents buf in
+  check_frame "the second warm reply" expected frame;
+  check_bool
+    (Printf.sprintf "%.0f bytes allocated for a %d-byte frame" allocated
+       (String.length frame))
+    true
+    (allocated < float_of_int (String.length frame) /. 2.)
+
 (* The JSON sink writes [Json.escape] of what the identity sink
    writes, over labels, names and headers that need every escape. *)
 let dot_sinks_property =
@@ -1314,6 +1395,8 @@ let () =
           Alcotest.test_case "bad requests" `Quick test_bad_requests;
           Alcotest.test_case "budget exceeded" `Quick test_budget_exceeded;
           Alcotest.test_case "unguarded definition" `Quick test_unguarded;
+          Alcotest.test_case "process array without a subscript" `Quick
+            test_array_name;
           Alcotest.test_case "weak check truncated" `Quick test_weak_truncated;
         ] );
       ( "framing",
@@ -1370,6 +1453,8 @@ let () =
             test_frames_other_ops;
           Alcotest.test_case "over a socket" `Quick test_frames_socket;
           Alcotest.test_case "a reused buffer" `Quick test_frames_reused_buffer;
+          Alcotest.test_case "a warm reply's allocation" `Quick
+            test_frames_warm_allocation;
           dot_sinks_property;
         ] );
       ( "persistence",
