@@ -299,16 +299,19 @@ let explore ?(max_states = 4000) ?(bound = 2) ?(unfold_fuel = 64)
    leaving a set, and the set one of them steps to.  Sets are sorted
    and closed under hidden edges; cut moves lead nowhere. *)
 let subsets (g : Dot.graph) =
-  let along set f =
-    List.sort_uniq Int.compare
-      (List.concat_map
-         (fun s ->
-           List.filter_map
-             (fun p -> if g.Dot.tgt.(p) < g.Dot.n_states then f p else None)
-             (List.init g.Dot.row_len.(s) (fun i -> g.Dot.row_off.(s) + i)))
-         set)
+  (* per state, the pool slots of its moves that are not cut *)
+  let out =
+    Array.init g.Dot.n_states (fun s ->
+        let off = g.Dot.row_off.(s) in
+        List.filter
+          (fun p -> g.Dot.tgt.(p) < g.Dot.n_states)
+          (List.init g.Dot.row_len.(s) (fun i -> off + i)))
   in
   let visible p = Bytes.get g.Dot.visible p <> '\000' in
+  let along set f =
+    List.sort_uniq Int.compare
+      (List.concat_map (fun s -> List.filter_map f out.(s)) set)
+  in
   let rec closure set =
     let set' =
       List.sort_uniq Int.compare
@@ -326,9 +329,10 @@ let subsets (g : Dot.graph) =
 
 let accepts g =
   let init, events, step = subsets g in
+  let truncated = Array.init g.Dot.n_states (Dot.truncated g) in
   let rec go set = function
     | [] -> true
-    | _ :: _ when List.exists (Dot.truncated g) set ->
+    | _ :: _ when List.exists (fun s -> truncated.(s)) set ->
       (* the trace may continue through dropped transitions *)
       true
     | ev :: rest -> (
