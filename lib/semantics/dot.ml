@@ -47,10 +47,15 @@ let dot_id name =
   in
   if bare then name else "\"" ^ dot_escape name ^ "\""
 
+(* a loop, not a local recursive function: that would allocate a
+   closure per state *)
 let truncated g s =
   let stop = g.row_off.(s) + g.row_len.(s) in
-  let rec go p = p < stop && (g.tgt.(p) >= g.n_states || go (p + 1)) in
-  go g.row_off.(s)
+  let p = ref g.row_off.(s) in
+  while !p < stop && g.tgt.(!p) < g.n_states do
+    incr p
+  done;
+  !p < stop
 
 (* Determinism needs no sorting: the first visible move of each event
    in a row is remembered, and a later one to another target is a
